@@ -298,8 +298,8 @@ ModelExecutor::runLayer(size_t layer, LayerTrace *lt)
                          "layer", double(layer));
         layerNormInto(x, w.ln2Gamma, w.ln2Beta, norm);
         linalg::Matrix &hidden = arena_.at(Slot::kHidden);
-        engine_->gemmInto(norm, w.fc1, hidden);
-        linalg::geluInPlace(hidden);
+        engine_->gemmInto(norm, w.fc1, hidden,
+                          linalg::engine::Epilogue::Gelu);
         linalg::Matrix &mlp_out = arena_.at(Slot::kMlpOut);
         engine_->gemmInto(hidden, w.fc2, mlp_out);
         for (size_t r = 0; r < n; ++r)

@@ -240,8 +240,8 @@ KernelEngine::forPanels(
 }
 
 void
-KernelEngine::gemmInto(const Matrix &a, const Matrix &b,
-                       Matrix &c) const
+KernelEngine::gemmInto(const Matrix &a, const Matrix &b, Matrix &c,
+                       Epilogue ep) const
 {
     const size_t macs = a.rows() * a.cols() * b.cols();
     obs::SpanGuard span("gemm", "engine", "m", double(a.rows()),
@@ -250,6 +250,8 @@ KernelEngine::gemmInto(const Matrix &a, const Matrix &b,
         counters_[kGemmRef].fetch_add(1, std::memory_order_relaxed);
         span.argStr("variant", referenceVariantName());
         linalg::gemmInto(a, b, c);
+        if (ep == Epilogue::Gelu)
+            linalg::geluInPlace(c);
         return;
     }
     VITCOD_ASSERT(a.cols() == b.rows(), "gemm shape mismatch");
@@ -257,10 +259,13 @@ KernelEngine::gemmInto(const Matrix &a, const Matrix &b,
     const isa::IsaKernelTable &kt = kernelsForLaunch();
     span.argStr("variant",
                 variantName({KernelTier::Optimized, kt.level}));
-    c.resize(a.rows(), b.cols());
+    if (a.cols() == 0) {
+        c.resize(a.rows(), b.cols()); // empty sums; gelu(0) == 0
+        return;
+    }
+    c.reshapeUninit(a.rows(), b.cols()); // panels write every row
     forPanels(a.rows(), macs, [&](size_t r0, size_t r1) {
-        kt.gemmPanel(a, b, c, r0, r1, cfg_.gemmKBlock,
-                     cfg_.gemmJBlock);
+        kt.gemmPanel(a, b, c, r0, r1, ep);
     });
 }
 

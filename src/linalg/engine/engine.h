@@ -7,10 +7,10 @@
  *  - **Tier** — per call it chooses the scalar golden kernels
  *    (src/linalg/{kernels,sparse_kernels}) for tiny shapes or when
  *    pinned to KernelTier::Reference (the oracle stays the oracle),
- *    or the cache-blocked optimized panels: row-stationary CSR SDDMM
- *    for moderate sparsity, the K-stationary CSC walk above
- *    cscSparsityThreshold (mirroring the accelerator's denser /
- *    sparser split), and a ThreadPool parallel-for over row panels
+ *    or the optimized panels: register-blocked GEMM, row-stationary
+ *    CSR SDDMM for moderate sparsity, the K-stationary CSC walk
+ *    above cscSparsityThreshold (mirroring the accelerator's denser
+ *    / sparser split), and a ThreadPool parallel-for over row panels
  *    when the work amortizes the fork.
  *  - **ISA** — the optimized panels themselves are dispatched through
  *    a per-ISA kernel table (isa/isa.h) resolved once at engine
@@ -62,10 +62,6 @@ struct EngineConfig
 
     /** Rows per parallel panel. */
     size_t rowPanel = 16;
-
-    /** GEMM cache blocking (0 = unblocked). */
-    size_t gemmKBlock = 64;
-    size_t gemmJBlock = 256;
 
     /** Auto tier: below this many MACs, the scalar reference runs. */
     size_t minOptimizedMacs = 2048;
@@ -202,11 +198,14 @@ class KernelEngine
     size_t threads() const;
 
     /**
-     * C = A * B into a caller-owned buffer: @p c is reshaped (its
+     * C = ep(A * B) into a caller-owned buffer: @p c is reshaped (its
      * capacity is reused, so steady-state callers never allocate —
-     * the ModelExecutor's BufferArena path).
+     * the ModelExecutor's BufferArena path). Epilogue::Gelu fuses
+     * the activation into the optimized panels' store; the
+     * Reference tier runs linalg::gemmInto then linalg::geluInPlace.
      */
-    void gemmInto(const Matrix &a, const Matrix &b, Matrix &c) const;
+    void gemmInto(const Matrix &a, const Matrix &b, Matrix &c,
+                  Epilogue ep = Epilogue::None) const;
 
     /** C = A * B^T into a caller-owned buffer (dense score kernel). */
     void gemmTransBInto(const Matrix &a, const Matrix &b,

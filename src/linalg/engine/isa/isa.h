@@ -26,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "linalg/engine/kernels_opt.h"
 #include "linalg/engine/variant.h"
 #include "linalg/matrix.h"
 #include "sparse/formats.h"
@@ -87,8 +88,7 @@ struct IsaKernelTable
     IsaLevel level = IsaLevel::Scalar;
 
     void (*gemmPanel)(const Matrix &a, const Matrix &b, Matrix &c,
-                      size_t r0, size_t r1, size_t k_block,
-                      size_t j_block) = nullptr;
+                      size_t r0, size_t r1, Epilogue ep) = nullptr;
     void (*gemmTransBPanel)(const Matrix &a, const Matrix &b,
                             Matrix &c, size_t r0, size_t r1) = nullptr;
     void (*sddmmCsrPanel)(const Matrix &q, const Matrix &k,

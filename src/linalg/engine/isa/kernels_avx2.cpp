@@ -167,33 +167,123 @@ axpy(float *__restrict out, const float *__restrict v, float s,
         out[i] += s * v[i];
 }
 
-void
-gemmPanelAvx2(const Matrix &a, const Matrix &b, Matrix &c, size_t r0,
-              size_t r1, size_t k_block, size_t j_block)
+/** Lane mask selecting the low @p n of 8 lanes (n <= 8). */
+inline __m256i
+tailMask256(size_t n)
 {
-    const size_t K = a.cols();
-    const size_t N = b.cols();
-    if (k_block == 0)
-        k_block = K;
-    if (j_block == 0)
-        j_block = N;
-    for (size_t kb = 0; kb < K; kb += k_block) {
-        const size_t ke = std::min(K, kb + k_block);
-        for (size_t jb = 0; jb < N; jb += j_block) {
-            const size_t je = std::min(N, jb + j_block);
-            const size_t jn = je - jb;
-            for (size_t i = r0; i < r1; ++i) {
-                const float *__restrict a_row = a.rowData(i);
-                float *__restrict c_row = c.rowData(i) + jb;
-                for (size_t k = kb; k < ke; ++k) {
-                    const float aik = a_row[k];
-                    if (aik == 0.0f)
-                        continue;
-                    axpy(c_row, b.rowData(k) + jb, aik, jn);
-                }
-            }
+    return _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(n)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/** GEMM tile rows (MR) and 8-lane column vectors (NV): 12 ymm
+ *  accumulators + NV B vectors + one broadcast stay in registers. */
+constexpr size_t kTileRows = 4;
+constexpr size_t kTileVecs = 3;
+
+/**
+ * One MR x 8*NV tile of C = ep(A*B) over the whole K. The MR*NV
+ * accumulators start at +0 and take one FMA per k in ascending
+ * order, so every element is exactly the in-order fma chain however
+ * the panel is tiled. TAIL masks the final vector's columns with
+ * @p last (vmaskmov, so full tiles keep plain loads).
+ */
+template <size_t MR, size_t NV, bool TAIL>
+inline void
+gemmTile(const float *__restrict a, size_t lda,
+         const float *__restrict b, size_t ldb, float *__restrict c,
+         size_t ldc, size_t K, __m256i last, Epilogue ep)
+{
+    __m256 acc[MR][NV] = {};
+    for (size_t k = 0; k < K; ++k) {
+        const float *__restrict bk = b + k * ldb;
+        __m256 bv[NV];
+        for (size_t v = 0; v < NV; ++v)
+            bv[v] = TAIL && v + 1 == NV
+                        ? _mm256_maskload_ps(bk + 8 * v, last)
+                        : _mm256_loadu_ps(bk + 8 * v);
+        for (size_t i = 0; i < MR; ++i) {
+            const __m256 ai = _mm256_broadcast_ss(a + i * lda + k);
+            for (size_t v = 0; v < NV; ++v)
+                acc[i][v] = _mm256_fmadd_ps(ai, bv[v], acc[i][v]);
         }
     }
+    // Fully unrolled so every acc index is a constant (see the
+    // AVX-512 tile: rolled, GCC spills acc on every k).
+#pragma GCC unroll 16
+    for (size_t i = 0; i < MR; ++i) {
+        float *__restrict ci = c + i * ldc;
+#pragma GCC unroll 16
+        for (size_t v = 0; v < NV; ++v) {
+            const __m256 r = ep == Epilogue::Gelu
+                                 ? geluApprox256_ps(acc[i][v])
+                                 : acc[i][v];
+            if (TAIL && v + 1 == NV)
+                _mm256_maskstore_ps(ci + 8 * v, last, r);
+            else
+                _mm256_storeu_ps(ci + 8 * v, r);
+        }
+    }
+}
+
+/** gemmTile<MR, nv, ragged> for runtime nv in [1, kTileVecs]. */
+template <size_t MR>
+inline void
+gemmTileN(size_t nv, bool ragged, const float *a, size_t lda,
+          const float *b, size_t ldb, float *c, size_t ldc, size_t K,
+          __m256i last, Epilogue ep)
+{
+    static_assert(kTileVecs == 3, "one case per (nv, ragged) below");
+    switch (nv * 2 + ragged) {
+    case 2:
+        return gemmTile<MR, 1, false>(a, lda, b, ldb, c, ldc, K, last, ep);
+    case 3:
+        return gemmTile<MR, 1, true>(a, lda, b, ldb, c, ldc, K, last, ep);
+    case 4:
+        return gemmTile<MR, 2, false>(a, lda, b, ldb, c, ldc, K, last, ep);
+    case 5:
+        return gemmTile<MR, 2, true>(a, lda, b, ldb, c, ldc, K, last, ep);
+    case 6:
+        return gemmTile<MR, 3, false>(a, lda, b, ldb, c, ldc, K, last, ep);
+    default:
+        return gemmTile<MR, 3, true>(a, lda, b, ldb, c, ldc, K, last, ep);
+    }
+}
+
+/**
+ * Register-blocked GEMM: 4x24 tiles in 12 ymm accumulators (1-row
+ * tiles for leftover rows, 1-3 vector tiles with a masked last
+ * vector for the column tail). No B packing and no k/j blocking:
+ * column strips outermost, so one K x 24 strip of B stays
+ * cache-resident while every row tile of the panel streams past it.
+ */
+void
+gemmPanelAvx2(const Matrix &a, const Matrix &b, Matrix &c, size_t r0,
+              size_t r1, Epilogue ep)
+{
+    constexpr size_t kCols = 8 * kTileVecs;
+    const size_t K = a.cols();
+    const size_t N = b.cols();
+    const size_t lda = K, ldb = N, ldc = N;
+    for (size_t j = 0; j < N; j += kCols) {
+        const size_t cols = std::min(kCols, N - j);
+        const size_t nv = (cols + 7) / 8;
+        const size_t tail = cols - 8 * (nv - 1);
+        const __m256i last = tailMask256(tail);
+        const float *bj = b.rowData(0) + j;
+        size_t i = r0;
+        for (; i + kTileRows <= r1; i += kTileRows)
+            gemmTileN<kTileRows>(nv, tail != 8, a.rowData(i), lda, bj,
+                                 ldb, c.rowData(i) + j, ldc, K, last,
+                                 ep);
+        for (; i < r1; ++i)
+            gemmTileN<1>(nv, tail != 8, a.rowData(i), lda, bj, ldb,
+                         c.rowData(i) + j, ldc, K, last, ep);
+    }
+    // GCC inserts vzeroupper only from -O2 up; without it the -O1
+    // sanitizer builds hand dirty upper halves back to baseline SSE
+    // code, which then runs ~30x slower.
+    _mm256_zeroupper();
 }
 
 void

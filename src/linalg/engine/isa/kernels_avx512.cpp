@@ -155,33 +155,97 @@ axpy(float *__restrict out, const float *__restrict v, float s,
     }
 }
 
+/**
+ * One MR x 16*NV tile of C = ep(A*B) over the whole K. The MR*NV
+ * accumulators start at +0 and take one FMA per k in ascending
+ * order, so every element is exactly the in-order fma chain however
+ * the panel is tiled. @p last masks the final vector's columns.
+ */
+template <size_t MR, size_t NV>
+inline void
+gemmTile(const float *__restrict a, size_t lda,
+         const float *__restrict b, size_t ldb, float *__restrict c,
+         size_t ldc, size_t K, __mmask16 last, Epilogue ep)
+{
+    __m512 acc[MR][NV] = {};
+    for (size_t k = 0; k < K; ++k) {
+        const float *__restrict bk = b + k * ldb;
+        __m512 bv[NV];
+        for (size_t v = 0; v + 1 < NV; ++v)
+            bv[v] = _mm512_loadu_ps(bk + 16 * v);
+        bv[NV - 1] = _mm512_maskz_loadu_ps(last, bk + 16 * (NV - 1));
+        for (size_t i = 0; i < MR; ++i) {
+            const __m512 ai = _mm512_set1_ps(a[i * lda + k]);
+            for (size_t v = 0; v < NV; ++v)
+                acc[i][v] = _mm512_fmadd_ps(ai, bv[v], acc[i][v]);
+        }
+    }
+    // Fully unrolled so every acc index is a constant: left rolled
+    // (the inlined GELU makes it too big for GCC's heuristics), it
+    // keeps acc in memory and spills all 16 zmm on every k.
+#pragma GCC unroll 16
+    for (size_t i = 0; i < MR; ++i) {
+        float *__restrict ci = c + i * ldc;
+#pragma GCC unroll 16
+        for (size_t v = 0; v < NV; ++v) {
+            const __m512 r = ep == Epilogue::Gelu
+                                 ? geluApprox512_ps(acc[i][v])
+                                 : acc[i][v];
+            if (v + 1 < NV)
+                _mm512_storeu_ps(ci + 16 * v, r);
+            else
+                _mm512_mask_storeu_ps(ci + 16 * v, last, r);
+        }
+    }
+}
+
+/** gemmTile<MR, nv> for a runtime vector count nv in [1, 4]. */
+template <size_t MR>
+inline void
+gemmTileN(size_t nv, const float *a, size_t lda, const float *b,
+          size_t ldb, float *c, size_t ldc, size_t K, __mmask16 last,
+          Epilogue ep)
+{
+    switch (nv) {
+    case 1: return gemmTile<MR, 1>(a, lda, b, ldb, c, ldc, K, last, ep);
+    case 2: return gemmTile<MR, 2>(a, lda, b, ldb, c, ldc, K, last, ep);
+    case 3: return gemmTile<MR, 3>(a, lda, b, ldb, c, ldc, K, last, ep);
+    default:
+        return gemmTile<MR, 4>(a, lda, b, ldb, c, ldc, K, last, ep);
+    }
+}
+
+/**
+ * Register-blocked GEMM: 4x64 tiles in 16 zmm accumulators (1-row
+ * tiles for leftover rows, masked 1-3 vector tiles for the column
+ * tail). No B packing and no k/j blocking: column strips outermost,
+ * so one K x 64 strip of B stays cache-resident while every row
+ * tile of the panel streams past it.
+ */
 void
 gemmPanelAvx512(const Matrix &a, const Matrix &b, Matrix &c, size_t r0,
-                size_t r1, size_t k_block, size_t j_block)
+                size_t r1, Epilogue ep)
 {
     const size_t K = a.cols();
     const size_t N = b.cols();
-    if (k_block == 0)
-        k_block = K;
-    if (j_block == 0)
-        j_block = N;
-    for (size_t kb = 0; kb < K; kb += k_block) {
-        const size_t ke = std::min(K, kb + k_block);
-        for (size_t jb = 0; jb < N; jb += j_block) {
-            const size_t je = std::min(N, jb + j_block);
-            const size_t jn = je - jb;
-            for (size_t i = r0; i < r1; ++i) {
-                const float *__restrict a_row = a.rowData(i);
-                float *__restrict c_row = c.rowData(i) + jb;
-                for (size_t k = kb; k < ke; ++k) {
-                    const float aik = a_row[k];
-                    if (aik == 0.0f)
-                        continue;
-                    axpy(c_row, b.rowData(k) + jb, aik, jn);
-                }
-            }
-        }
+    const size_t lda = K, ldb = N, ldc = N;
+    for (size_t j = 0; j < N; j += 64) {
+        const size_t cols = std::min<size_t>(64, N - j);
+        const size_t nv = (cols + 15) / 16;
+        const __mmask16 last = tailMask(cols - 16 * (nv - 1));
+        const float *bj = b.rowData(0) + j;
+        size_t i = r0;
+        for (; i + 4 <= r1; i += 4)
+            gemmTileN<4>(nv, a.rowData(i), lda, bj, ldb,
+                         c.rowData(i) + j, ldc, K, last, ep);
+        for (; i < r1; ++i)
+            gemmTileN<1>(nv, a.rowData(i), lda, bj, ldb,
+                         c.rowData(i) + j, ldc, K, last, ep);
     }
+    // GCC inserts vzeroupper only from -O2 up; without it the -O1
+    // sanitizer builds hand dirty upper halves back to baseline SSE
+    // code, which then runs ~30x slower.
+    _mm256_zeroupper();
 }
 
 void

@@ -18,6 +18,7 @@
 #include <limits>
 
 #include "linalg/engine/isa/isa.h"
+#include "linalg/kernels.h"
 
 namespace vitcod::linalg::engine::isa {
 
@@ -56,35 +57,28 @@ axpy(float *__restrict out, const float *__restrict v, float s,
         vst1q_f32(out + i,
                   vfmaq_f32(vld1q_f32(out + i), bs, vld1q_f32(v + i)));
     for (; i < n; ++i)
-        out[i] += s * v[i];
+        out[i] = std::fma(s, v[i], out[i]);
 }
 
 void
 gemmPanelNeon(const Matrix &a, const Matrix &b, Matrix &c, size_t r0,
-              size_t r1, size_t k_block, size_t j_block)
+              size_t r1, Epilogue ep)
 {
     const size_t K = a.cols();
     const size_t N = b.cols();
-    if (k_block == 0)
-        k_block = K;
-    if (j_block == 0)
-        j_block = N;
-    for (size_t kb = 0; kb < K; kb += k_block) {
-        const size_t ke = std::min(K, kb + k_block);
-        for (size_t jb = 0; jb < N; jb += j_block) {
-            const size_t je = std::min(N, jb + j_block);
-            const size_t jn = je - jb;
-            for (size_t i = r0; i < r1; ++i) {
-                const float *__restrict a_row = a.rowData(i);
-                float *__restrict c_row = c.rowData(i) + jb;
-                for (size_t k = kb; k < ke; ++k) {
-                    const float aik = a_row[k];
-                    if (aik == 0.0f)
-                        continue;
-                    axpy(c_row, b.rowData(k) + jb, aik, jn);
-                }
-            }
+    for (size_t i = r0; i < r1; ++i) {
+        const float *__restrict a_row = a.rowData(i);
+        float *__restrict c_row = c.rowData(i);
+        std::fill_n(c_row, N, 0.0f);
+        for (size_t k = 0; k < K; ++k) {
+            const float aik = a_row[k];
+            if (aik == 0.0f)
+                continue;
+            axpy(c_row, b.rowData(k), aik, N);
         }
+        if (ep == Epilogue::Gelu)
+            for (size_t j = 0; j < N; ++j)
+                c_row[j] = linalg::gelu(c_row[j]);
     }
 }
 

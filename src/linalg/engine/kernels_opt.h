@@ -1,14 +1,15 @@
 /**
  * @file
- * Optimized kernel bodies of the execution engine: cache-blocked,
- * branch-light, multi-accumulator loops over raw CSR/CSC arrays and
+ * Optimized kernel bodies of the execution engine: branch-light,
+ * multi-accumulator loops over raw CSR/CSC arrays and
  * row-major dense panels. Every function here works on a half-open
  * row (or column) range so the KernelEngine can carve work into
  * independent panels for ThreadPool::parallelFor — a panel writes
  * only its own output slice, which is what makes parallel runs
  * bitwise deterministic.
  *
- * Numerics: dot products accumulate in four independent float lanes
+ * Numerics: the GEMM panel is the reference i-k-j loop (bitwise the
+ * oracle); dot products accumulate in four independent float lanes
  * (reduced at the end), softmax exponentiates in double like the
  * scalar reference. Differential tests pin the optimized results to
  * the golden kernels within a few hundred ulps.
@@ -25,9 +26,20 @@
 
 namespace vitcod::linalg::engine {
 
-/** Dense C += A*B over C rows [r0, r1), blocked on k and j. */
+/** Elementwise op a GEMM panel applies to C before storing it. */
+enum class Epilogue
+{
+    None,
+    Gelu, //!< tanh-form GELU, as linalg::geluInPlace
+};
+
+/**
+ * Dense C = A*B over C rows [r0, r1), overwriting them (no zeroed
+ * C needed), then @p ep on those rows. The reference i-k-j loop
+ * with the oracle GELU: bitwise linalg::gemmInto (+ geluInPlace).
+ */
 void gemmPanel(const Matrix &a, const Matrix &b, Matrix &c, size_t r0,
-               size_t r1, size_t k_block, size_t j_block);
+               size_t r1, Epilogue ep);
 
 /** Dense C = A*B^T over C rows [r0, r1): the score kernel. */
 void gemmTransBPanel(const Matrix &a, const Matrix &b, Matrix &c,

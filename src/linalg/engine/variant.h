@@ -5,7 +5,7 @@
  *
  *  - **Tier** says *which algorithm* runs: the scalar golden kernels
  *    (src/linalg/{kernels,sparse_kernels} — the differential-test
- *    oracle) or the cache-blocked optimized panels.
+ *    oracle) or the register-blocked / fused optimized panels.
  *  - **ISA** says *which instruction set* the optimized panels use:
  *    portable scalar code, AVX2+FMA, AVX-512, or NEON. The reference
  *    tier is always scalar — the oracle must not depend on the host.
@@ -36,7 +36,7 @@ namespace vitcod::linalg::engine {
 enum class KernelTier : uint8_t
 {
     Reference, //!< scalar golden kernels (the oracle)
-    Optimized, //!< cache-blocked / fused / vectorized panels
+    Optimized, //!< register-blocked / fused / vectorized panels
 };
 
 /**

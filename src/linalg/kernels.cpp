@@ -130,19 +130,22 @@ reluInPlace(Matrix &a)
             a(i, j) = std::max(0.0f, a(i, j));
 }
 
-void
-geluInPlace(Matrix &a)
+float
+gelu(float x)
 {
     // tanh approximation: 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715 x^3)))
     constexpr double k = 0.7978845608028654; // sqrt(2/pi)
-    for (size_t i = 0; i < a.rows(); ++i) {
-        for (size_t j = 0; j < a.cols(); ++j) {
-            const double x = a(i, j);
-            const double inner = k * (x + 0.044715 * x * x * x);
-            a(i, j) = static_cast<float>(0.5 * x *
-                                         (1.0 + std::tanh(inner)));
-        }
-    }
+    const double xd = x;
+    const double inner = k * (xd + 0.044715 * xd * xd * xd);
+    return static_cast<float>(0.5 * xd * (1.0 + std::tanh(inner)));
+}
+
+void
+geluInPlace(Matrix &a)
+{
+    for (size_t i = 0; i < a.rows(); ++i)
+        for (size_t j = 0; j < a.cols(); ++j)
+            a(i, j) = gelu(a(i, j));
 }
 
 void

@@ -55,7 +55,13 @@ void layerNormRowsInto(const Matrix &x,
 /** In-place ReLU. */
 void reluInPlace(Matrix &a);
 
-/** In-place GELU (tanh approximation, as used by ViT MLPs). */
+/**
+ * GELU of one value, tanh approximation (as used by ViT MLPs)
+ * evaluated in double: the oracle every GELU is measured against.
+ */
+float gelu(float x);
+
+/** In-place gelu() of every element. */
 void geluInPlace(Matrix &a);
 
 /** Scale all elements in place. */

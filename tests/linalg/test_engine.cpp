@@ -19,6 +19,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "linalg/engine/engine.h"
@@ -33,6 +36,7 @@ namespace {
 
 using engine::DispatchStats;
 using engine::EngineConfig;
+using engine::Epilogue;
 using engine::IsaLevel;
 using engine::KernelEngine;
 using engine::KernelTier;
@@ -124,6 +128,54 @@ isaLaunches(const DispatchStats &st, IsaLevel level)
     case IsaLevel::Avx512: return st.isaAvx512;
     }
     return 0;
+}
+
+/** Same shape and the same bits (distinguishes -0/+0, NaNs). */
+bool
+bitwiseEqual(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) ==
+               0;
+}
+
+/**
+ * C = A*B with every element an in-order std::fma chain from +0 over
+ * k (zeros in A included): the vector GEMM tiles' bitwise contract.
+ */
+Matrix
+gemmInOrderFma(const Matrix &a, const Matrix &b)
+{
+    Matrix c(a.rows(), b.cols());
+    for (size_t i = 0; i < a.rows(); ++i) {
+        float *c_row = c.rowData(i);
+        for (size_t k = 0; k < a.cols(); ++k) {
+            const float aik = a(i, k);
+            const float *b_row = b.rowData(k);
+            for (size_t j = 0; j < b.cols(); ++j)
+                c_row[j] = std::fma(aik, b_row[j], c_row[j]);
+        }
+    }
+    return c;
+}
+
+/**
+ * A K=1 GEMM whose output repeats each of @p xs across @p width
+ * columns (x * 1 from +0 is exact), so @p eng's GELU epilogue sees
+ * exactly these inputs in full vectors and in masked tails.
+ */
+Matrix
+geluThroughGemm(const KernelEngine &eng, const std::vector<float> &xs,
+                size_t width)
+{
+    Matrix a(xs.size(), 1);
+    for (size_t i = 0; i < xs.size(); ++i)
+        a(i, 0) = xs[i];
+    Matrix b(1, width);
+    b.fill(1.0f);
+    Matrix c;
+    eng.gemmInto(a, b, c, Epilogue::Gelu);
+    return c;
 }
 
 /**
@@ -261,11 +313,113 @@ TEST_P(KernelEngineIsa, GemmMatchesOracle)
     const auto got = opt.gemm(a, b);
     if (GetParam() == IsaLevel::Scalar) {
         // Identical accumulation order (ascending k per output
-        // element) without FMA contraction: the scalar blocked path
+        // element) without FMA contraction: the scalar i-k-j panel
         // must be bit-for-bit the reference.
         EXPECT_TRUE(got == ref);
     } else {
         expectMatrixClose(got, ref, "gemm");
+    }
+}
+
+TEST_P(KernelEngineIsa, GemmBitwiseContractAcrossShapes)
+{
+    // Every tile shape, row tail and masked column tail must leave
+    // each element's arithmetic untouched: the scalar level is the
+    // reference loop, the vector levels one fma per k in ascending
+    // order from +0. Pooled panels (rowPanel 5 splits row tiles
+    // unevenly) must match the serial run bit for bit.
+    const bool scalar = GetParam() == IsaLevel::Scalar;
+    const KernelEngine ser(optCfg());
+    ThreadPool pool(3);
+    EngineConfig pcfg = optCfg();
+    pcfg.rowPanel = 5;
+    pcfg.minParallelMacs = 1;
+    const KernelEngine par(pcfg, &pool);
+    Rng rng(53);
+    Matrix got, pooled;
+    for (size_t m : {1u, 3u, 4u, 5u, 16u, 197u})
+        for (size_t k : {1u, 7u, 64u, 65u, 192u, 768u})
+            for (size_t n : {1u, 15u, 16u, 17u, 63u, 64u, 65u, 192u,
+                             200u, 576u}) {
+                auto a = Matrix::randomNormal(m, k, rng);
+                for (float &x : std::span(a.data(), a.size()))
+                    if (rng.uniformInt(7) == 0)
+                        x = 0.0f;
+                const auto b = Matrix::randomNormal(k, n, rng);
+                const Matrix want =
+                    scalar ? gemm(a, b) : gemmInOrderFma(a, b);
+                ser.gemmInto(a, b, got);
+                EXPECT_TRUE(bitwiseEqual(got, want))
+                    << m << "x" << k << "x" << n;
+                par.gemmInto(a, b, pooled);
+                EXPECT_TRUE(bitwiseEqual(pooled, got))
+                    << "pooled " << m << "x" << k << "x" << n;
+            }
+    EXPECT_GT(par.stats().parallelLaunches, 0u);
+}
+
+TEST_P(KernelEngineIsa, EmptyInnerDimensionGivesZeros)
+{
+    const KernelEngine opt(optCfg());
+    const Matrix a(5, 0), b(0, 33);
+    for (Epilogue ep : {Epilogue::None, Epilogue::Gelu}) {
+        Matrix c(2, 2);
+        c.fill(7.0f);
+        opt.gemmInto(a, b, c, ep);
+        EXPECT_TRUE(bitwiseEqual(c, Matrix(5, 33)));
+    }
+}
+
+TEST_P(KernelEngineIsa, GeluEpilogueTracksOracle)
+{
+    // Dense sweep of [-12, 12]. The scalar level runs the oracle
+    // itself; the vector levels' x / (1 + exp(-2u)) must stay within
+    // 64 ulp wherever |gelu| > 1e-6 and within 1e-6 below that,
+    // where the oracle's double tanh saturates to -0.
+    const KernelEngine opt(optCfg());
+    std::vector<float> xs;
+    for (int i = -12 * 1024; i <= 12 * 1024; ++i)
+        xs.push_back(static_cast<float>(i) / 1024.0f);
+    const Matrix got = geluThroughGemm(opt, xs, 17);
+    for (size_t i = 0; i < xs.size(); ++i) {
+        const float want = gelu(xs[i]);
+        for (size_t j = 0; j < got.cols(); ++j) {
+            const float g = got(i, j);
+            if (GetParam() == IsaLevel::Scalar)
+                ASSERT_EQ(g, want) << "x = " << xs[i];
+            else if (std::abs(want) > 1e-6f)
+                ASSERT_LE(ulpDiff(g, want), 64u)
+                    << "x = " << xs[i] << ": " << g << " vs " << want;
+            else
+                ASSERT_LE(std::abs(g - want), 1e-6f)
+                    << "x = " << xs[i] << ": " << g << " vs " << want;
+        }
+    }
+}
+
+TEST_P(KernelEngineIsa, GeluEpilogueEdgeValues)
+{
+    // A GEMM from +0 never produces -0, so -0 arrives as +0. The
+    // vector levels saturate both infinities (gelu -> x above, -> 0
+    // below); the scalar level is the oracle, whose 0.5x(1 + tanh)
+    // is NaN at -inf.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    const KernelEngine opt(optCfg());
+    const std::vector<float> xs = {0.0f,  -0.0f, 1e4f, -1e4f,
+                                   kInf, -kInf, std::nanf("")};
+    const Matrix got = geluThroughGemm(opt, xs, 19);
+    const bool scalar = GetParam() == IsaLevel::Scalar;
+    for (size_t j = 0; j < got.cols(); ++j) {
+        EXPECT_EQ(got(0, j), 0.0f);
+        EXPECT_EQ(got(1, j), 0.0f);
+        EXPECT_EQ(got(2, j), 1e4f);
+        EXPECT_EQ(got(3, j), 0.0f);
+        EXPECT_EQ(got(4, j), kInf);
+        if (scalar)
+            EXPECT_TRUE(std::isnan(got(5, j)));
+        else
+            EXPECT_EQ(got(5, j), 0.0f);
+        EXPECT_TRUE(std::isnan(got(6, j)));
     }
 }
 
@@ -406,6 +560,23 @@ TEST(KernelEngine, ReferenceTierPinsTheOracle)
     EXPECT_EQ(a.values(), b.values());
     EXPECT_EQ(ref.stats().sddmmReference, 1u);
     EXPECT_EQ(ref.stats().sddmmCsr + ref.stats().sddmmCsc, 0u);
+}
+
+TEST(KernelEngine, ReferenceTierGeluEpilogueIsTheOracle)
+{
+    const KernelEngine ref(
+        {.tier = KernelTier::Reference, .isa = std::nullopt});
+    Rng rng(59);
+    const auto a = Matrix::randomNormal(37, 48, rng);
+    const auto b = Matrix::randomNormal(48, 80, rng);
+    Matrix got;
+    ref.gemmInto(a, b, got, Epilogue::Gelu);
+    Matrix want;
+    gemmInto(a, b, want);
+    geluInPlace(want);
+    EXPECT_TRUE(bitwiseEqual(got, want));
+    EXPECT_EQ(ref.stats().gemmReference, 1u);
+    EXPECT_EQ(ref.stats().gemmOptimized, 0u);
 }
 
 TEST(KernelEngine, ForceIsaRetargetsALiveEngine)
