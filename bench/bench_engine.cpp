@@ -42,7 +42,6 @@
 #include "common/rng.h"
 #include "linalg/engine/engine.h"
 #include "linalg/engine/isa/isa.h"
-#include "linalg/engine/kernels_opt.h"
 #include "linalg/engine/thread_pool.h"
 #include "linalg/kernels.h"
 #include "linalg/sparse_kernels.h"
@@ -287,23 +286,17 @@ main(int argc, char **argv)
         });
         // Prebuilt layout + preallocated output, exactly like the
         // ModelExecutor request path: the rows measure the kernels,
-        // not the allocator or the engine's structure cache.
-        std::vector<uint32_t> row_ptr, col_idx, col_ptr, row_idx;
-        linalg::engine::maskToCsrStructure(mask, row_ptr, col_idx);
-        const bool use_csc =
-            static_cast<double>(mask.nnz()) <
-            (1.0 - linalg::engine::EngineConfig{}.cscSparsityThreshold) *
-                static_cast<double>(n * n);
-        if (use_csc)
-            linalg::engine::csrToCscStructure(n, n, row_ptr, col_idx,
-                                              col_ptr, row_idx);
-        const linalg::engine::MaskLayoutView layout{
-            n, n, &row_ptr, &col_idx, &col_ptr, &row_idx, use_csc};
+        // not the allocator or a per-call mask scan.
+        const linalg::engine::MaskLayout layout =
+            linalg::engine::buildMaskLayout(
+                mask,
+                linalg::engine::EngineConfig{}.cscSparsityThreshold);
         linalg::Matrix attn_out;
         emitGroup("sparse_attn", n, d, sp, mask.nnz(), true, flops,
                   ref_ms, [&](const KernelEngine &eng) {
-                      eng.sparseAttentionInto(q, k, v, mask, layout,
-                                              scale, attn_out);
+                      eng.sparseAttentionInto(q, k, v, mask,
+                                              layout.view(n, n), scale,
+                                              attn_out);
                       return sink(attn_out);
                   });
     }

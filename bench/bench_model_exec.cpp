@@ -163,7 +163,7 @@ main(int argc, char **argv)
                 .print();
 
         // Batch amortization row: per-sample latency of a batch-4
-        // forward through the warm arena + mask-structure cache.
+        // forward through the warm arena and prebuilt head layouts.
         const size_t batch = 4;
         std::vector<linalg::Matrix> inputs(batch, input);
         const double batch_ms = bestMs(reps, [&] {

@@ -86,17 +86,13 @@ main(int argc, char **argv)
                 static_cast<double>(trace.totalMacs) / 1e9 /
                     trace.totalSeconds);
     std::printf("dispatch: %llu opt GEMMs, %llu CSR + %llu CSC "
-                "SDDMMs, %llu structure hits / %llu misses\n",
+                "SDDMMs\n",
                 static_cast<unsigned long long>(
                     trace.dispatch.gemmOptimized),
                 static_cast<unsigned long long>(
                     trace.dispatch.sddmmCsr),
                 static_cast<unsigned long long>(
-                    trace.dispatch.sddmmCsc),
-                static_cast<unsigned long long>(
-                    trace.dispatch.structureHits),
-                static_cast<unsigned long long>(
-                    trace.dispatch.structureMisses));
+                    trace.dispatch.sddmmCsc));
 
     // Top-1 of the (random-weight) classifier, to show real logits.
     size_t best = 0;

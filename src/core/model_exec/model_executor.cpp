@@ -261,12 +261,9 @@ ModelExecutor::runLayer(size_t layer, LayerTrace *lt)
             linalg::Matrix &hout = arena_.at(Slot::kHeadOut);
             // Execute through the schedule's prebuilt layout: the
             // same CSC/CSR visit order the simulator priced, and no
-            // engine structure-cache traffic on the request path.
-            const linalg::engine::MaskLayoutView layout{
-                hp.mask.rows(),        hp.mask.cols(),
-                &hsched.layout.rowPtr, &hsched.layout.colIdx,
-                &hsched.layout.colPtr, &hsched.layout.rowIdx,
-                hsched.layout.useCsc};
+            // mask scan on the request path.
+            const linalg::engine::MaskLayoutView layout =
+                hsched.layout.view(hp.mask.rows(), hp.mask.cols());
             {
                 PhaseTimer head_phase(
                     "head", ht ? &ht->seconds : nullptr, "layer",

@@ -8,7 +8,7 @@
  * Per forward: patch-embedding proxy GEMM, then per layer
  * {LayerNorm, Q/K/V projection GEMMs, per-head sparse attention
  * (SDDMM -> fused masked softmax -> SpMM) in that head's plan-
- * permuted token order using the engine's cached mask structure,
+ * permuted token order through its Schedule IR layout,
  * output projection, residual, LayerNorm, MLP (GELU), residual},
  * LeViT-style token pooling + projection at stage transitions, and
  * a final LayerNorm + mean-pool + classifier GEMM. The math is the
@@ -18,10 +18,8 @@
  *
  * All activations live in a BufferArena sized once per model:
  * steady-state forwards perform zero activation allocations.
- * forwardBatch() runs a batch back to back through the same arena,
- * so every head's mask-structure lookup after the first sample is
- * an engine cache hit (size structureCacheCapacity >= the model's
- * total head count to keep that true).
+ * forwardBatch() runs a batch back to back through the same arena
+ * and the same prebuilt head layouts, so no sample scans a mask.
  *
  * An executor owns mutable per-call state (arena, scratch): one
  * executor per thread. The plan and engine are borrowed and must
@@ -102,8 +100,7 @@ class ModelExecutor
 
     /**
      * Batch entry point: runs every input back to back through the
-     * same arena and warm mask-structure cache, amortizing the
-     * per-head structure lookups across the batch. @p trace (when
+     * same arena and prebuilt head layouts. @p trace (when
      * non-null) accumulates times/dispatch over the whole batch
      * with batch = inputs.size().
      */

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "linalg/engine/kernels_opt.h"
 #include "model/flops.h"
 
 namespace vitcod::core::schedule {
@@ -82,19 +81,8 @@ ScheduleBuilder::buildAttentionLayer(const core::ModelPlan &plan,
             hs.idxBytes = p->sparserCsc.indexBytes(hw.indexBytes);
 
         if (cfg_.buildLayouts) {
-            linalg::engine::maskToCsrStructure(
-                p->mask, hs.layout.rowPtr, hs.layout.colIdx);
-            const auto nnz =
-                static_cast<double>(hs.layout.colIdx.size());
-            hs.layout.useCsc =
-                nnz < (1.0 - cfg_.cscSparsityThreshold) *
-                          static_cast<double>(p->mask.rows() *
-                                              p->mask.cols());
-            if (hs.layout.useCsc)
-                linalg::engine::csrToCscStructure(
-                    p->mask.rows(), p->mask.cols(),
-                    hs.layout.rowPtr, hs.layout.colIdx,
-                    hs.layout.colPtr, hs.layout.rowIdx);
+            hs.layout = linalg::engine::buildMaskLayout(
+                p->mask, cfg_.cscSparsityThreshold);
             VITCOD_ASSERT(
                 hs.layout.colIdx.size() == hs.maskNnz(),
                 "denser/sparser split must partition the mask");

@@ -28,8 +28,8 @@ struct BuilderConfig
      * Mask sparsity at or above which the runtime layout carries the
      * K-stationary CSC traversal in addition to CSR. Defaults to
      * the engine's own dispatch threshold (the one source of the
-     * constant), so the executor's CSC/CSR split matches what it
-     * did when the engine built structures itself.
+     * constant), so a schedule's layouts equal the ones
+     * KernelEngine::sparseAttention builds per call.
      */
     double cscSparsityThreshold =
         linalg::engine::EngineConfig{}.cscSparsityThreshold;

@@ -33,6 +33,7 @@
 #include "common/units.h"
 #include "core/schedule/workload.h"
 #include "core/split_conquer.h"
+#include "linalg/engine/engine.h"
 #include "sparse/formats.h"
 
 namespace vitcod::core::schedule {
@@ -78,20 +79,12 @@ struct HardwareParams
 };
 
 /**
- * Compressed visit-order layout of one head's *full* pruned mask:
- * CSR always (the softmax/SpMM order), CSC additionally when the
- * mask is sparse enough for the K-stationary sparser-engine walk.
- * This is what the KernelEngine executes from directly — the mask
- * is scanned exactly once, at schedule build.
+ * Compressed visit-order layout of one head's *full* pruned mask
+ * (linalg::engine::buildMaskLayout's output). This is what the
+ * KernelEngine executes from directly — the mask is scanned exactly
+ * once, at schedule build.
  */
-struct HeadLayout
-{
-    std::vector<uint32_t> rowPtr, colIdx; //!< CSR
-    std::vector<uint32_t> colPtr, rowIdx; //!< CSC (useCsc only)
-    bool useCsc = false;
-
-    bool operator==(const HeadLayout &) const = default;
-};
+using HeadLayout = linalg::engine::MaskLayout;
 
 /** One (layer, head) attention schedule. */
 struct HeadSchedule

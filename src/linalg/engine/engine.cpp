@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
-#include <list>
-#include <mutex>
-#include <unordered_map>
 
 #include "linalg/engine/kernels_opt.h" //!< mask structure helpers
 #include "linalg/kernels.h"
@@ -28,8 +24,6 @@ enum Counter : size_t
     kSpmmRef,
     kSpmmOpt,
     kParallel,
-    kStructHit,
-    kStructMiss,
     // Per-ISA launch counters; kIsaFirst + IsaLevel value.
     kIsaFirst,
 };
@@ -41,67 +35,25 @@ referenceVariantName()
     return variantName({KernelTier::Reference, IsaLevel::Scalar});
 }
 
-/** 64-bit content hash of a mask: 8 storage bytes per mix step. */
-uint64_t
-hashMask(const sparse::BitMask &mask)
-{
-    uint64_t h = 0x9e3779b97f4a7c15ULL ^
-                 (mask.rows() * 0x100000001b3ULL + mask.cols());
-    auto mix = [&h](uint64_t x) {
-        h ^= x;
-        h *= 0xff51afd7ed558ccdULL;
-        h ^= h >> 33;
-    };
-    const uint8_t *bytes = mask.data();
-    const size_t n = mask.rows() * mask.cols();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        uint64_t chunk;
-        std::memcpy(&chunk, bytes + i, 8);
-        mix(chunk);
-    }
-    uint64_t tail = 0;
-    for (; i < n; ++i)
-        tail = (tail << 8) | bytes[i];
-    mix(tail);
-    return h;
-}
-
 } // namespace
 
-/** Compressed structure of one mask, shared across calls. */
-struct KernelEngine::MaskStructure
+MaskLayout
+buildMaskLayout(const sparse::BitMask &mask, double cscSparsityThreshold)
 {
-    sparse::BitMask mask; //!< copy, for exact verification on hit
-    std::vector<uint32_t> rowPtr, colIdx; //!< CSR
-    std::vector<uint32_t> colPtr, rowIdx; //!< CSC (sparser masks only)
-    bool useCsc = false;
-
-    /** Borrowed layout view of this structure. */
-    MaskLayoutView view() const
-    {
-        return {mask.rows(), mask.cols(), &rowPtr, &colIdx,
-                &colPtr,     &rowIdx,     useCsc};
-    }
-};
-
-/** Content-addressed LRU of MaskStructures. */
-struct KernelEngine::StructureCache
-{
-    struct Entry
-    {
-        std::shared_ptr<const MaskStructure> structure;
-        std::list<uint64_t>::iterator lruIt;
-    };
-
-    std::mutex lock;
-    std::unordered_map<uint64_t, Entry> entries;
-    std::list<uint64_t> lru; //!< front = most recently used
-};
+    MaskLayout layout;
+    maskToCsrStructure(mask, layout.rowPtr, layout.colIdx);
+    const auto nnz = static_cast<double>(layout.colIdx.size());
+    layout.useCsc =
+        nnz < (1.0 - cscSparsityThreshold) *
+                  static_cast<double>(mask.rows() * mask.cols());
+    if (layout.useCsc)
+        csrToCscStructure(mask.rows(), mask.cols(), layout.rowPtr,
+                          layout.colIdx, layout.colPtr, layout.rowIdx);
+    return layout;
+}
 
 KernelEngine::KernelEngine(EngineConfig cfg, ThreadPool *pool)
-    : cfg_(cfg), pool_(pool),
-      cache_(std::make_unique<StructureCache>())
+    : cfg_(cfg), pool_(pool)
 {
     const IsaLevel resolved = isa::resolveIsa(
         cfg_.isa, isa::hostCpuFeatures(), std::getenv("VITCOD_ISA"));
@@ -110,8 +62,6 @@ KernelEngine::KernelEngine(EngineConfig cfg, ThreadPool *pool)
     for (auto &c : counters_)
         c.store(0, std::memory_order_relaxed);
 }
-
-KernelEngine::~KernelEngine() = default;
 
 KernelVariant
 KernelEngine::variant() const
@@ -156,52 +106,6 @@ KernelEngine::kernelsForLaunch() const
     const isa::IsaKernelTable &kt = kernels();
     noteIsaLaunch(kt.level);
     return kt;
-}
-
-std::shared_ptr<const KernelEngine::MaskStructure>
-KernelEngine::structureFor(const sparse::BitMask &mask) const
-{
-    const uint64_t key =
-        cfg_.structureCacheCapacity ? hashMask(mask) : 0;
-    if (cfg_.structureCacheCapacity) {
-        std::lock_guard<std::mutex> g(cache_->lock);
-        auto it = cache_->entries.find(key);
-        if (it != cache_->entries.end() &&
-            it->second.structure->mask == mask) {
-            cache_->lru.splice(cache_->lru.begin(), cache_->lru,
-                               it->second.lruIt);
-            counters_[kStructHit].fetch_add(1,
-                                            std::memory_order_relaxed);
-            return it->second.structure;
-        }
-    }
-    counters_[kStructMiss].fetch_add(1, std::memory_order_relaxed);
-
-    auto ms = std::make_shared<MaskStructure>();
-    ms->mask = mask;
-    maskToCsrStructure(mask, ms->rowPtr, ms->colIdx);
-    const auto nnz = static_cast<double>(ms->colIdx.size());
-    ms->useCsc = nnz < (1.0 - cfg_.cscSparsityThreshold) *
-                           static_cast<double>(mask.rows() *
-                                               mask.cols());
-    if (ms->useCsc)
-        csrToCscStructure(mask.rows(), mask.cols(), ms->rowPtr,
-                          ms->colIdx, ms->colPtr, ms->rowIdx);
-
-    if (cfg_.structureCacheCapacity) {
-        std::lock_guard<std::mutex> g(cache_->lock);
-        if (!cache_->entries.contains(key)) {
-            cache_->lru.push_front(key);
-            cache_->entries.emplace(
-                key,
-                StructureCache::Entry{ms, cache_->lru.begin()});
-            if (cache_->lru.size() > cfg_.structureCacheCapacity) {
-                cache_->entries.erase(cache_->lru.back());
-                cache_->lru.pop_back();
-            }
-        }
-    }
-    return ms;
 }
 
 size_t
@@ -348,11 +252,13 @@ KernelEngine::sddmm(const Matrix &q, const Matrix &k,
         counters_[kSddmmRef].fetch_add(1, std::memory_order_relaxed);
         return linalg::sddmm(q, k, mask, scale);
     }
-    const auto ms = structureFor(mask);
+    MaskLayout layout = buildMaskLayout(mask, cfg_.cscSparsityThreshold);
     std::vector<float> values;
-    sddmmInto(q, k, ms->view(), scale, values);
-    return sparse::Csr::fromParts(mask.rows(), mask.cols(), ms->rowPtr,
-                                  ms->colIdx, std::move(values));
+    sddmmInto(q, k, layout.view(mask.rows(), mask.cols()), scale, values);
+    return sparse::Csr::fromParts(mask.rows(), mask.cols(),
+                                  std::move(layout.rowPtr),
+                                  std::move(layout.colIdx),
+                                  std::move(values));
 }
 
 sparse::Csr
@@ -405,9 +311,11 @@ void
 KernelEngine::sparseAttentionInto(const Matrix &q, const Matrix &k,
                                   const Matrix &v,
                                   const sparse::BitMask &mask,
+                                  const MaskLayoutView &layout,
                                   float scale, Matrix &out) const
 {
-    // Dense upper bound for dispatch; avoids an extra mask scan.
+    // Dense upper bound for dispatch (as in sddmm()): the tier
+    // choice depends on the shape alone, never on the layout.
     const size_t macs_bound = mask.rows() * mask.cols() * q.cols();
     if (!useOptimized(macs_bound)) {
         counters_[kSddmmRef].fetch_add(1, std::memory_order_relaxed);
@@ -422,19 +330,11 @@ KernelEngine::sparseAttentionInto(const Matrix &q, const Matrix &k,
         return;
     }
     VITCOD_ASSERT(mask.cols() == v.rows(), "spmm shape mismatch");
-    // Fused: one (cached) structure, values flow through SDDMM ->
-    // softmax -> SpMM in place — no Csr materialization, no COO
-    // round-trips, no revalidation between stages.
-    const auto ms = structureFor(mask);
-    sparseAttentionOpt(q, k, v, ms->view(), scale, out);
-}
-
-void
-KernelEngine::sparseAttentionOpt(const Matrix &q, const Matrix &k,
-                                 const Matrix &v,
-                                 const MaskLayoutView &layout,
-                                 float scale, Matrix &out) const
-{
+    VITCOD_ASSERT(layout.rows == mask.rows() &&
+                      layout.cols == mask.cols(),
+                  "layout does not describe this mask");
+    // Fused: values flow through SDDMM -> softmax -> SpMM in place —
+    // no Csr materialization, no revalidation between stages.
     const isa::IsaKernelTable &kt = kernels();
     obs::SpanGuard span("sparse_attention", "engine", "nnz",
                         double(layout.colIdx->size()), "rows",
@@ -466,33 +366,6 @@ KernelEngine::sparseAttentionOpt(const Matrix &q, const Matrix &k,
     });
 }
 
-void
-KernelEngine::sparseAttentionInto(const Matrix &q, const Matrix &k,
-                                  const Matrix &v,
-                                  const sparse::BitMask &mask,
-                                  const MaskLayoutView &layout,
-                                  float scale, Matrix &out) const
-{
-    // Same dispatch bound as the mask-only overload, so a Reference-
-    // pinned or tiny-shape call behaves identically either way.
-    const size_t macs_bound = mask.rows() * mask.cols() * q.cols();
-    if (!useOptimized(macs_bound)) {
-        counters_[kSddmmRef].fetch_add(1, std::memory_order_relaxed);
-        counters_[kSoftmaxRef].fetch_add(1, std::memory_order_relaxed);
-        counters_[kSpmmRef].fetch_add(1, std::memory_order_relaxed);
-        const Matrix ref = linalg::spmm(
-            linalg::maskedSoftmaxRows(linalg::sddmm(q, k, mask, scale)),
-            v);
-        out = ref;
-        return;
-    }
-    VITCOD_ASSERT(mask.cols() == v.rows(), "spmm shape mismatch");
-    VITCOD_ASSERT(layout.rows == mask.rows() &&
-                      layout.cols == mask.cols(),
-                  "layout does not describe this mask");
-    sparseAttentionOpt(q, k, v, layout, scale, out);
-}
-
 std::span<const DispatchStatsField>
 dispatchStatsFields()
 {
@@ -507,8 +380,6 @@ dispatchStatsFields()
         {"spmm_ref", &DispatchStats::spmmReference},
         {"spmm_opt", &DispatchStats::spmmOptimized},
         {"parallel", &DispatchStats::parallelLaunches},
-        {"struct_hit", &DispatchStats::structureHits},
-        {"struct_miss", &DispatchStats::structureMisses},
         {"isa_scalar", &DispatchStats::isaScalar},
         {"isa_neon", &DispatchStats::isaNeon},
         {"isa_avx2", &DispatchStats::isaAvx2},

@@ -29,9 +29,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "linalg/engine/isa/isa.h"
 #include "linalg/engine/thread_pool.h"
@@ -74,18 +74,6 @@ struct EngineConfig
      * K-stationary CSC traversal (the sparser-engine order).
      */
     double cscSparsityThreshold = 0.95;
-
-    /**
-     * Entries in the mask -> compressed-structure cache. ViTCoD
-     * masks are fixed per (layer, head), so the O(n^2) mask scan is
-     * one-time work in steady state — exactly the paper's
-     * preprocessing argument. Content-addressed (64-bit hash, full
-     * compare on hit), LRU eviction; 0 disables caching. Must
-     * exceed the masks a serving worker cycles through for steady-
-     * state hits: the default covers two DeiT-Base-sized plans
-     * (144 heads each) at ~60 KB per cached 196x196 entry.
-     */
-    size_t structureCacheCapacity = 320;
 };
 
 /** Cumulative dispatch counters (one engine instance). */
@@ -101,8 +89,6 @@ struct DispatchStats
     uint64_t spmmReference = 0;
     uint64_t spmmOptimized = 0;
     uint64_t parallelLaunches = 0; //!< calls that fanned out to the pool
-    uint64_t structureHits = 0;    //!< mask structure served from cache
-    uint64_t structureMisses = 0;  //!< mask structure built fresh
 
     /** @name Optimized kernel launches by executing ISA
      *  (declaration order matches IsaLevel's enumerator order)
@@ -137,13 +123,11 @@ std::span<const DispatchStatsField> dispatchStatsFields();
 DispatchStats operator-(const DispatchStats &a, const DispatchStats &b);
 
 /**
- * Borrowed view of a prebuilt compressed mask layout — what the
- * Schedule IR (core::schedule::HeadLayout) hands the engine so a
- * caller that already compiled its masks skips the engine's
- * content-addressed structure cache entirely: no hashing, no lock,
- * no O(n^2) mask scan on the execution path. The referenced arrays
- * must outlive the call and describe the same mask the caller
- * passes alongside.
+ * Borrowed view of a prebuilt compressed mask layout (a MaskLayout
+ * plus its shape) — what the attention kernels execute from, so the
+ * execution path never scans a mask. The referenced arrays must
+ * outlive the call and describe the same mask the caller passes
+ * alongside.
  */
 struct MaskLayoutView
 {
@@ -156,6 +140,36 @@ struct MaskLayoutView
     bool useCsc = false; //!< K-stationary CSC walk for the SDDMM
 };
 
+/**
+ * Compressed visit-order layout of one attention mask: CSR always
+ * (the softmax/SpMM order), CSC additionally when the mask is sparse
+ * enough for the K-stationary sparser-engine walk. ViTCoD masks are
+ * fixed per (layer, head), so this is built once, offline — the
+ * Schedule IR stores one per head (core::schedule::HeadLayout).
+ */
+struct MaskLayout
+{
+    std::vector<uint32_t> rowPtr, colIdx; //!< CSR
+    std::vector<uint32_t> colPtr, rowIdx; //!< CSC (useCsc only)
+    bool useCsc = false;
+
+    /** Borrowed view of this layout for a @p rows x @p cols mask. */
+    MaskLayoutView view(size_t rows, size_t cols) const
+    {
+        return {rows, cols, &rowPtr, &colIdx, &colPtr, &rowIdx, useCsc};
+    }
+
+    bool operator==(const MaskLayout &) const = default;
+};
+
+/**
+ * The one mask -> layout compression: one O(rows*cols) mask scan to
+ * CSR, plus the O(nnz) CSC transpose exactly when nnz <
+ * (1 - @p cscSparsityThreshold) * rows * cols.
+ */
+MaskLayout buildMaskLayout(const sparse::BitMask &mask,
+                           double cscSparsityThreshold);
+
 /** Shape/sparsity/ISA-dispatching kernel executor. */
 class KernelEngine
 {
@@ -166,8 +180,6 @@ class KernelEngine
      */
     explicit KernelEngine(EngineConfig cfg = {},
                           ThreadPool *pool = nullptr);
-
-    ~KernelEngine();
 
     KernelEngine(const KernelEngine &) = delete;
     KernelEngine &operator=(const KernelEngine &) = delete;
@@ -224,25 +236,13 @@ class KernelEngine
 
     /**
      * Fused sparse attention into a caller-owned output buffer:
-     * spmm(softmax(sddmm(q,k,mask))) without materializing
-     * intermediate Csr objects — structure is built once (and
-     * cached) and values flow through in place. The optimized path
-     * allocates only the nnz value vector; a reference dispatch
-     * still materializes its Csr intermediates.
-     */
-    void sparseAttentionInto(const Matrix &q, const Matrix &k,
-                             const Matrix &v,
-                             const sparse::BitMask &mask, float scale,
-                             Matrix &out) const;
-
-    /**
-     * Fused sparse attention over a prebuilt layout (the Schedule
-     * IR's visit order): the structure cache is bypassed — no
-     * lookup, no scan, no structure counters. @p mask must be the
-     * mask @p layout was compiled from; it is consulted only by the
+     * spmm(softmax(sddmm(q,k,mask))) over a prebuilt layout (the
+     * Schedule IR's visit order) without materializing intermediate
+     * Csr objects — values flow through SDDMM -> softmax -> SpMM in
+     * place, and no mask is scanned. @p mask must be the mask
+     * @p layout was compiled from; it is consulted only by the
      * reference dispatch (tiny shapes / KernelTier::Reference),
-     * which keeps dispatch decisions identical to the mask-only
-     * overload.
+     * which still materializes its Csr intermediates.
      */
     void sparseAttentionInto(const Matrix &q, const Matrix &k,
                              const Matrix &v,
@@ -269,13 +269,21 @@ class KernelEngine
         return c;
     }
 
-    /** Fused sparse attention returning a fresh output matrix. */
+    /**
+     * Fused sparse attention returning a fresh output matrix, over a
+     * layout built for this call (one mask scan per call): for
+     * callers off the request path, which hold no prebuilt layout.
+     */
     Matrix sparseAttention(const Matrix &q, const Matrix &k,
                            const Matrix &v, const sparse::BitMask &mask,
                            float scale = 1.0f) const
     {
+        const MaskLayout layout =
+            buildMaskLayout(mask, cfg_.cscSparsityThreshold);
         Matrix out;
-        sparseAttentionInto(q, k, v, mask, scale, out);
+        sparseAttentionInto(q, k, v, mask,
+                            layout.view(mask.rows(), mask.cols()), scale,
+                            out);
         return out;
     }
 
@@ -290,7 +298,7 @@ class KernelEngine
     /**
      * Process-wide default engine: Auto tier, env/CPUID-resolved
      * ISA, over ThreadPool::shared(). What reference_block and the
-     * serving backends use unless handed a specific engine.
+     * ModelExecutor use unless handed a specific engine.
      */
     static const KernelEngine &shared();
 
@@ -309,33 +317,19 @@ class KernelEngine
     /** kernels() + noteIsaLaunch() in one step. */
     const isa::IsaKernelTable &kernelsForLaunch() const;
 
-    struct MaskStructure;
-    struct StructureCache;
-
-    /** Cached (or freshly built) compressed structure of @p mask. */
-    std::shared_ptr<const MaskStructure>
-    structureFor(const sparse::BitMask &mask) const;
-
     /** Optimized SDDMM core over a pre-built layout. */
     void sddmmInto(const Matrix &q, const Matrix &k,
                    const MaskLayoutView &layout, float scale,
                    std::vector<float> &values) const;
 
-    /** Optimized fused attention core over a pre-built layout. */
-    void sparseAttentionOpt(const Matrix &q, const Matrix &k,
-                            const Matrix &v,
-                            const MaskLayoutView &layout, float scale,
-                            Matrix &out) const;
-
     EngineConfig cfg_;
     ThreadPool *pool_;
-    std::unique_ptr<StructureCache> cache_;
 
     /** Resolved per-ISA panel table; forceIsa() swaps it. */
     std::atomic<const isa::IsaKernelTable *> kernels_;
 
     // Indexed by the private Counter enum in engine.cpp.
-    mutable std::atomic<uint64_t> counters_[16];
+    mutable std::atomic<uint64_t> counters_[14];
 };
 
 } // namespace vitcod::linalg::engine

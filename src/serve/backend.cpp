@@ -1,7 +1,6 @@
 #include "serve/backend.h"
 
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "accel/platform.h"
@@ -68,63 +67,6 @@ accel::RunStats
 ViTCoDServeBackend::runOnce(const CompiledPlan &cp) const
 {
     return interp_.execute(cp.program);
-}
-
-KernelServeBackend::KernelServeBackend(
-    const linalg::engine::KernelEngine *eng)
-    : ServeBackend("CPUKernel", /*freq_ghz=*/1.0), engine_(eng)
-{
-    VITCOD_ASSERT(engine_ != nullptr, "null kernel engine");
-}
-
-accel::RunStats
-KernelServeBackend::runOnce(const CompiledPlan &cp) const
-{
-    const core::ModelPlan &plan = cp.plan;
-
-    accel::RunStats st;
-    st.model = plan.model.name;
-
-    // Deterministic synthetic inputs, generated OUTSIDE the timed
-    // window so st.seconds measures the kernels, not the RNG.
-    struct HeadInputs
-    {
-        linalg::Matrix q, k, v;
-        float scale;
-    };
-    Rng rng(plan.cfg.seed);
-    std::vector<HeadInputs> inputs;
-    inputs.reserve(plan.heads.size());
-    for (const core::HeadPlan &hp : plan.heads) {
-        const size_t n = hp.plan.tokens;
-        const size_t dk = plan.model.stageForLayer(hp.layer).headDim;
-        inputs.push_back(
-            {linalg::Matrix::randomNormal(n, dk, rng),
-             linalg::Matrix::randomNormal(n, dk, rng),
-             linalg::Matrix::randomNormal(n, dk, rng),
-             static_cast<float>(
-                 1.0 / std::sqrt(static_cast<double>(dk)))});
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    for (size_t h = 0; h < plan.heads.size(); ++h) {
-        const core::HeadPlan &hp = plan.heads[h];
-        const HeadInputs &in = inputs[h];
-        const linalg::Matrix out = engine_->sparseAttention(
-            in.q, in.k, in.v, hp.plan.mask, in.scale);
-        VITCOD_ASSERT(out.rows() == hp.plan.tokens &&
-                          out.cols() == in.q.cols(),
-                      "kernel backend output shape mismatch");
-        // SDDMM + SpMM MACs at this head's mask.
-        st.macs += static_cast<MacOps>(hp.plan.mask.nnz()) *
-                   in.q.cols() * 2;
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-
-    st.seconds = std::chrono::duration<double>(t1 - t0).count();
-    st.computeSeconds = st.seconds;
-    st.utilization = 1.0;
-    return st;
 }
 
 ModelExecServeBackend::ModelExecServeBackend(
@@ -243,13 +185,11 @@ makeServeBackend(const std::string &spec,
         return std::make_unique<DeviceServeBackend>(
             std::make_unique<accel::SangerAccelerator>(),
             accel::SangerConfig{}.freqGhz);
-    if (spec == "CPUKernel")
-        return std::make_unique<KernelServeBackend>();
     if (spec == "ModelExec")
         return std::make_unique<ModelExecServeBackend>();
     fatal("unknown serve backend '", spec,
           "' (expected ViTCoD|CPU|GPU|EdgeGPU|SpAtten|Sanger|"
-          "CPUKernel|ModelExec)");
+          "ModelExec)");
 }
 
 } // namespace vitcod::serve

@@ -7,7 +7,7 @@
  *  - the per-request simulated time of a plan is memoized for
  *    simulator backends (they are deterministic in (plan, config),
  *    so one run per task per backend suffices; batches scale it);
- *    backends that really execute kernels (CPUKernel) opt out via
+ *    backends that really execute kernels (ModelExec) opt out via
  *    memoizeRuns() and run — and re-time — every batch;
  *  - switching a backend between plans pays the plan's
  *    weightLoadSeconds (stream the new model's weights), which is
@@ -74,7 +74,7 @@ class ServeBackend
 
     /**
      * Memoize runOnce per plan key? True for deterministic
-     * simulators. Backends that really execute work (CPUKernel)
+     * simulators. Backends that really execute work (ModelExec)
      * return false so every batch runs — and times — the kernels.
      */
     virtual bool memoizeRuns() const { return true; }
@@ -104,46 +104,16 @@ class ViTCoDServeBackend : public ServeBackend
 };
 
 /**
- * Host-CPU functional backend: actually executes every head's
- * SDDMM -> masked softmax -> SpMM through the KernelEngine on
- * deterministic synthetic Q/K/V, and reports the measured wall time
- * as the serving cost. Unlike the analytic simulators this backend
- * puts the kernel engine itself on the serving hot path — it is the
- * target the perf-regression CI watches end to end.
- */
-class KernelServeBackend : public ServeBackend
-{
-  public:
-    /**
-     * @param eng Kernel executor; defaults to the shared
-     *        Auto-dispatch engine.
-     */
-    explicit KernelServeBackend(
-        const linalg::engine::KernelEngine *eng =
-            &linalg::engine::KernelEngine::shared());
-
-  protected:
-    accel::RunStats runOnce(const CompiledPlan &cp) const override;
-
-    /** Real execution: never replay a stale wall-time measurement. */
-    bool memoizeRuns() const override { return false; }
-
-  private:
-    const linalg::engine::KernelEngine *engine_;
-};
-
-/**
  * Whole-model execution backend: serves each request as a full
  * N-layer forward pass (patch embed -> every transformer layer with
  * per-head sparse attention -> classifier) through a ModelExecutor,
  * reporting measured wall time — the end-to-end latency quantity the
- * paper's Fig. 15/17 speedups are about, where CPUKernel only times
- * isolated attention blocks.
+ * paper's Fig. 15/17 speedups are about.
  *
  * Per plan key the backend keeps a resident executor (plan copy,
- * deterministic random weights, warm BufferArena + mask-structure
- * cache), so steady-state traffic re-runs a warmed model instead of
- * rebuilding state — the serving analogue of the paper's one-time
+ * deterministic random weights, warm BufferArena, the schedule's
+ * prebuilt head layouts), so steady-state traffic re-runs a warmed
+ * model instead of rebuilding state — the serving analogue of the paper's one-time
  * preprocessing argument. Residency is LRU-bounded
  * (statesCapacity): unlike the shared PlanCache, this state carries
  * full weight sets (~88 MB for DeiT-Small) per worker, so unbounded
@@ -226,8 +196,7 @@ class DeviceServeBackend : public ServeBackend
 
 /**
  * Backend factory by spec name: "ViTCoD", "CPU", "GPU", "EdgeGPU",
- * "SpAtten", "Sanger", "CPUKernel" (functional kernel-engine
- * execution on the host), "ModelExec" (whole-model forward passes
+ * "SpAtten", "Sanger", "ModelExec" (whole-model forward passes
  * through the ModelExecutor). ViTCoD backends compile-share via
  * @p hw, which must match the PlanCache's config. fatal() on
  * unknown specs.

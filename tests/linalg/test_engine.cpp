@@ -16,11 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -40,6 +42,7 @@ using engine::Epilogue;
 using engine::IsaLevel;
 using engine::KernelEngine;
 using engine::KernelTier;
+using engine::MaskLayout;
 using engine::ThreadPool;
 
 /** ulp distance between two finite floats (huge when signs differ). */
@@ -518,6 +521,117 @@ TEST_P(KernelEngineIsa, EmptyAndFullMasksAreHandled)
     const auto ref = spmm(maskedSoftmaxRows(sddmm(q, k, full, 1.0f)), v);
     expectMatrixClose(opt.sparseAttention(q, k, v, full, 1.0f), ref,
                       "full mask");
+}
+
+/** Every (row, col) a layout's CSR indexes, in CSR order. */
+std::vector<std::pair<uint32_t, uint32_t>>
+csrCells(const MaskLayout &l)
+{
+    std::vector<std::pair<uint32_t, uint32_t>> cells;
+    for (uint32_t r = 0; r + 1 < l.rowPtr.size(); ++r)
+        for (uint32_t i = l.rowPtr[r]; i < l.rowPtr[r + 1]; ++i)
+            cells.emplace_back(r, l.colIdx[i]);
+    return cells;
+}
+
+/** A rows x cols mask with the first @p nnz cells (row-major) set. */
+sparse::BitMask
+prefixMask(size_t rows, size_t cols, size_t nnz)
+{
+    sparse::BitMask mask(rows, cols);
+    for (size_t i = 0; i < nnz; ++i)
+        mask.set(i / cols, i % cols, true);
+    return mask;
+}
+
+TEST(BuildMaskLayout, EmitsValidCsrOfTheMask)
+{
+    Rng rng(53);
+    for (double sp : kSparsities) {
+        // Non-square, so a rows/cols mix-up cannot pass.
+        sparse::BitMask mask(37, 53);
+        for (size_t r = 0; r < mask.rows(); ++r)
+            for (size_t c = 0; c < mask.cols(); ++c)
+                mask.set(r, c, rng.uniform() >= sp);
+        const MaskLayout l = engine::buildMaskLayout(mask, 0.95);
+        ASSERT_EQ(l.rowPtr.size(), mask.rows() + 1);
+        EXPECT_EQ(l.rowPtr.front(), 0u);
+        EXPECT_EQ(l.rowPtr.back(), mask.nnz());
+        ASSERT_EQ(l.colIdx.size(), mask.nnz());
+        for (size_t r = 0; r < mask.rows(); ++r) {
+            ASSERT_LE(l.rowPtr[r], l.rowPtr[r + 1]);
+            for (uint32_t i = l.rowPtr[r]; i < l.rowPtr[r + 1]; ++i) {
+                ASSERT_LT(l.colIdx[i], mask.cols());
+                EXPECT_TRUE(mask.get(r, l.colIdx[i]));
+                if (i > l.rowPtr[r]) {
+                    EXPECT_LT(l.colIdx[i - 1], l.colIdx[i]);
+                }
+            }
+        }
+    }
+}
+
+TEST(BuildMaskLayout, EmitsCscExactlyBelowTheDensityBound)
+{
+    // 8x8 at threshold 0.75: the bound (1 - 0.75) * 64 = 16 is exact
+    // in double, so the probe sits precisely on it.
+    for (size_t nnz : {0u, 1u, 15u, 16u, 17u, 64u}) {
+        const auto mask = prefixMask(8, 8, nnz);
+        const MaskLayout l = engine::buildMaskLayout(mask, 0.75);
+        EXPECT_EQ(l.useCsc, nnz < 16) << "nnz " << nnz;
+        if (!l.useCsc) {
+            EXPECT_TRUE(l.colPtr.empty());
+            EXPECT_TRUE(l.rowIdx.empty());
+        }
+    }
+    // Threshold 0 takes CSC for every mask but the full one;
+    // threshold 1 never does.
+    EXPECT_TRUE(engine::buildMaskLayout(prefixMask(8, 8, 63), 0.0).useCsc);
+    EXPECT_FALSE(
+        engine::buildMaskLayout(prefixMask(8, 8, 64), 0.0).useCsc);
+    EXPECT_FALSE(
+        engine::buildMaskLayout(prefixMask(8, 8, 0), 1.0).useCsc);
+}
+
+TEST(BuildMaskLayout, EmptyAndFullMasks)
+{
+    const MaskLayout empty =
+        engine::buildMaskLayout(sparse::BitMask(6, 9), 0.95);
+    EXPECT_EQ(empty.rowPtr, std::vector<uint32_t>(7, 0));
+    EXPECT_TRUE(empty.colIdx.empty());
+    ASSERT_TRUE(empty.useCsc);
+    EXPECT_EQ(empty.colPtr, std::vector<uint32_t>(10, 0));
+    EXPECT_TRUE(empty.rowIdx.empty());
+
+    const MaskLayout full =
+        engine::buildMaskLayout(prefixMask(6, 9, 54), 0.95);
+    EXPECT_FALSE(full.useCsc);
+    for (size_t r = 0; r <= 6; ++r)
+        EXPECT_EQ(full.rowPtr[r], r * 9);
+    for (size_t i = 0; i < full.colIdx.size(); ++i)
+        EXPECT_EQ(full.colIdx[i], i % 9);
+}
+
+TEST(BuildMaskLayout, CscAndCsrIndexTheSameNonzeros)
+{
+    Rng rng(61);
+    for (double sp : kSparsities) {
+        const auto mask = randomMask(96, sp, rng);
+        const MaskLayout l = engine::buildMaskLayout(mask, 0.0);
+        ASSERT_TRUE(l.useCsc);
+        ASSERT_EQ(l.colPtr.size(), mask.cols() + 1);
+        ASSERT_EQ(l.rowIdx.size(), l.colIdx.size());
+        std::vector<std::pair<uint32_t, uint32_t>> csc;
+        for (uint32_t c = 0; c < mask.cols(); ++c)
+            for (uint32_t i = l.colPtr[c]; i < l.colPtr[c + 1]; ++i) {
+                if (i > l.colPtr[c]) {
+                    EXPECT_LT(l.rowIdx[i - 1], l.rowIdx[i]);
+                }
+                csc.emplace_back(l.rowIdx[i], c);
+            }
+        std::sort(csc.begin(), csc.end());
+        EXPECT_EQ(csc, csrCells(l)); // CSR order is (row, col) sorted
+    }
 }
 
 TEST(KernelEngine, AutoTierDispatchesBySize)

@@ -55,8 +55,8 @@ TEST(ScheduleBuilder, SplitPartitionsEveryMask)
 {
     const auto m = tinyModel();
     const auto plan = planFor(m, 0.9, false);
-    const ModelSchedule s =
-        ScheduleBuilder().build(plan, /*e2e=*/false);
+    const BuilderConfig cfg;
+    const ModelSchedule s = ScheduleBuilder(cfg).build(plan, /*e2e=*/false);
 
     ASSERT_EQ(s.layers.size(), m.totalLayers());
     for (const LayerSchedule &ls : s.layers) {
@@ -73,6 +73,10 @@ TEST(ScheduleBuilder, SplitPartitionsEveryMask)
                 EXPECT_EQ(hs.layout.rowIdx.size(), hs.maskNnz());
                 EXPECT_EQ(hs.layout.colPtr.size(), hs.tokens + 1);
             }
+            // The builder's layout is exactly the engine's one
+            // mask -> layout compression.
+            EXPECT_EQ(hs.layout, linalg::engine::buildMaskLayout(
+                                     p.mask, cfg.cscSparsityThreshold));
             EXPECT_EQ(hs.numGlobalTokens, p.numGlobalTokens);
         }
         // The priced engine workload exceeds the executed mask-nnz
