@@ -7,7 +7,7 @@
  *  - the scalar golden pipeline
  *    spmm(maskedSoftmaxRows(sddmm(q,k,mask))) as the reference,
  *  - the KernelEngine single-threaded once per compiled ISA level
- *    (scalar / NEON / AVX2 / AVX-512, each pinned via
+ *    (scalar / AVX2 / AVX-512, each pinned via
  *    EngineConfig::isa) — one JSON row per (kernel, ISA),
  *  - the KernelEngine over a ThreadPool (--threads N, default 4)
  *    at the auto-resolved ISA,
@@ -123,7 +123,6 @@ isaLaunches(const linalg::engine::DispatchStats &st, IsaLevel level)
 {
     switch (level) {
     case IsaLevel::Scalar: return st.isaScalar;
-    case IsaLevel::Neon: return st.isaNeon;
     case IsaLevel::Avx2: return st.isaAvx2;
     case IsaLevel::Avx512: return st.isaAvx512;
     }

@@ -69,7 +69,7 @@ struct CliOptions
 
     /**
      * --isa NAME / --isa=NAME: restrict kernel benches to one ISA
-     * level ("scalar", "neon", "avx2", "avx512"; empty = all
+     * level ("scalar", "avx2", "avx512"; empty = all
      * compiled levels). Validated by the bench that uses it.
      */
     std::string isa;

@@ -12,7 +12,7 @@ namespace vitcod::core::model_exec {
 namespace {
 
 constexpr const char *kMagic = "vitcod-exec-trace";
-constexpr const char *kVersion = "v2";
+constexpr const char *kVersion = "v3";
 
 } // namespace
 

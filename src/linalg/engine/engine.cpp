@@ -381,7 +381,6 @@ dispatchStatsFields()
         {"spmm_opt", &DispatchStats::spmmOptimized},
         {"parallel", &DispatchStats::parallelLaunches},
         {"isa_scalar", &DispatchStats::isaScalar},
-        {"isa_neon", &DispatchStats::isaNeon},
         {"isa_avx2", &DispatchStats::isaAvx2},
         {"isa_avx512", &DispatchStats::isaAvx512},
     };

@@ -94,7 +94,6 @@ struct DispatchStats
      *  (declaration order matches IsaLevel's enumerator order)
      *  @{ */
     uint64_t isaScalar = 0;
-    uint64_t isaNeon = 0;
     uint64_t isaAvx2 = 0;
     uint64_t isaAvx512 = 0;
     /** @} */
@@ -329,7 +328,7 @@ class KernelEngine
     std::atomic<const isa::IsaKernelTable *> kernels_;
 
     // Indexed by the private Counter enum in engine.cpp.
-    mutable std::atomic<uint64_t> counters_[14];
+    mutable std::atomic<uint64_t> counters_[13];
 };
 
 } // namespace vitcod::linalg::engine

@@ -17,9 +17,6 @@ const IsaKernelTable &avx2KernelTable();
 #if defined(VITCOD_ENGINE_HAVE_AVX512)
 const IsaKernelTable &avx512KernelTable();
 #endif
-#if defined(VITCOD_ENGINE_HAVE_NEON)
-const IsaKernelTable &neonKernelTable();
-#endif
 
 namespace {
 
@@ -41,8 +38,6 @@ hostCpuFeatures()
     f.avx2 = __builtin_cpu_supports("avx2") &&
              __builtin_cpu_supports("fma");
     f.avx512f = __builtin_cpu_supports("avx512f");
-#elif defined(__aarch64__)
-    f.neon = true; // Advanced SIMD is mandatory on AArch64
 #endif
     return f;
 }
@@ -52,7 +47,6 @@ cpuSupports(const CpuFeatures &f, IsaLevel level)
 {
     switch (level) {
     case IsaLevel::Scalar: return true;
-    case IsaLevel::Neon: return f.neon;
     case IsaLevel::Avx2: return f.avx2;
     case IsaLevel::Avx512: return f.avx512f && f.avx2;
     }
@@ -64,12 +58,6 @@ isaKernelTable(IsaLevel level)
 {
     switch (level) {
     case IsaLevel::Scalar: return &kScalarTable;
-    case IsaLevel::Neon:
-#if defined(VITCOD_ENGINE_HAVE_NEON)
-        return &neonKernelTable();
-#else
-        return nullptr;
-#endif
     case IsaLevel::Avx2:
 #if defined(VITCOD_ENGINE_HAVE_AVX2)
         return &avx2KernelTable();
@@ -98,8 +86,8 @@ compiledIsaLevels()
     static const std::vector<IsaLevel> levels = [] {
         std::vector<IsaLevel> v;
         // Highest preference first; Scalar always compiles.
-        for (IsaLevel l : {IsaLevel::Avx512, IsaLevel::Avx2,
-                           IsaLevel::Neon, IsaLevel::Scalar})
+        for (IsaLevel l :
+             {IsaLevel::Avx512, IsaLevel::Avx2, IsaLevel::Scalar})
             if (isaCompiled(l))
                 v.push_back(l);
         return v;
@@ -165,8 +153,8 @@ resolveIsa(std::optional<IsaLevel> forced, const CpuFeatures &f,
             static std::once_flag once;
             std::call_once(once, [&] {
                 warn("VITCOD_ISA='", env,
-                        "' is not a known ISA (expected scalar|neon|"
-                        "avx2|avx512|auto); using auto detection");
+                        "' is not a known ISA (expected scalar|avx2|"
+                        "avx512|auto); using auto detection");
             });
         }
     }

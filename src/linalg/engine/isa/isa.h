@@ -36,14 +36,13 @@ namespace vitcod::linalg::engine::isa {
 /** Host capabilities relevant to kernel selection (mockable). */
 struct CpuFeatures
 {
-    bool avx2 = false;   //!< AVX2 and FMA
+    bool avx2 = false;    //!< AVX2 and FMA
     bool avx512f = false; //!< AVX-512 Foundation
-    bool neon = false;   //!< ARM Advanced SIMD
 
     bool operator==(const CpuFeatures &) const = default;
 };
 
-/** CPUID (x86) / architecture (ARM) probe of the running host. */
+/** CPUID probe of the running host (no vector levels off x86). */
 CpuFeatures hostCpuFeatures();
 
 /** Whether @p f can execute kernels at @p level. Scalar: always. */
@@ -52,7 +51,7 @@ bool cpuSupports(const CpuFeatures &f, IsaLevel level);
 /**
  * Whether kernels for @p level were compiled into this binary.
  * Scalar is always present; vector levels depend on the build
- * (compiler flag support, target architecture).
+ * (compiler flag support, x86 target).
  */
 bool isaCompiled(IsaLevel level);
 

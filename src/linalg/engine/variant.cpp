@@ -20,7 +20,6 @@ isaName(IsaLevel isa)
 {
     switch (isa) {
     case IsaLevel::Scalar: return "scalar";
-    case IsaLevel::Neon: return "neon";
     case IsaLevel::Avx2: return "avx2";
     case IsaLevel::Avx512: return "avx512";
     }
@@ -33,10 +32,8 @@ variantName(const KernelVariant &v)
     // 2 x kNumIsaLevels static labels so callers (trace spans, log
     // lines) get a stable const char* without interning.
     static const char *const kNames[2][kNumIsaLevels] = {
-        {"reference/scalar", "reference/neon", "reference/avx2",
-         "reference/avx512"},
-        {"optimized/scalar", "optimized/neon", "optimized/avx2",
-         "optimized/avx512"},
+        {"reference/scalar", "reference/avx2", "reference/avx512"},
+        {"optimized/scalar", "optimized/avx2", "optimized/avx512"},
     };
     const auto t = static_cast<size_t>(v.tier);
     const auto i = static_cast<size_t>(v.isa);
@@ -55,8 +52,6 @@ parseIsaName(std::string_view name)
             std::tolower(static_cast<unsigned char>(c))));
     if (lower == "scalar")
         return IsaLevel::Scalar;
-    if (lower == "neon")
-        return IsaLevel::Neon;
     if (lower == "avx2")
         return IsaLevel::Avx2;
     if (lower == "avx512")

@@ -7,14 +7,14 @@
  *    (src/linalg/{kernels,sparse_kernels} — the differential-test
  *    oracle) or the register-blocked / fused optimized panels.
  *  - **ISA** says *which instruction set* the optimized panels use:
- *    portable scalar code, AVX2+FMA, AVX-512, or NEON. The reference
+ *    portable scalar code, AVX2+FMA or AVX-512. The reference
  *    tier is always scalar — the oracle must not depend on the host.
  *
  * Variants are resolved at engine construction (and on forceIsa())
  * from three sources, highest precedence first:
  *
  *  1. `EngineConfig::isa` — programmatic force (benches' `--isa=`).
- *  2. `VITCOD_ISA=scalar|neon|avx2|avx512|auto` — environment.
+ *  2. `VITCOD_ISA=scalar|avx2|avx512|auto` — environment.
  *  3. CPUID detection — the highest level both compiled into this
  *     binary and supported by the host CPU.
  *
@@ -47,13 +47,12 @@ enum class KernelTier : uint8_t
 enum class IsaLevel : uint8_t
 {
     Scalar = 0, //!< portable C++ (compiler-autovectorized baseline)
-    Neon,       //!< 128-bit ARM NEON (aarch64 builds only)
     Avx2,       //!< 256-bit AVX2 + FMA
     Avx512,     //!< 512-bit AVX-512F
 };
 
 /** Number of IsaLevel enumerators (table sizing). */
-inline constexpr size_t kNumIsaLevels = 4;
+inline constexpr size_t kNumIsaLevels = 3;
 
 /** One dispatchable implementation identity: tier x ISA. */
 struct KernelVariant
@@ -67,7 +66,7 @@ struct KernelVariant
 /** Stable lowercase name: "reference" / "optimized". */
 const char *tierName(KernelTier tier);
 
-/** Stable lowercase name: "scalar" / "neon" / "avx2" / "avx512". */
+/** Stable lowercase name: "scalar" / "avx2" / "avx512". */
 const char *isaName(IsaLevel isa);
 
 /** "optimized/avx2"-style label (static storage, no allocation). */
@@ -75,7 +74,7 @@ const char *variantName(const KernelVariant &v);
 
 /**
  * Parse an ISA name as accepted by `VITCOD_ISA` / `--isa=`:
- * "scalar", "neon", "avx2", "avx512" (case-insensitive). Returns
+ * "scalar", "avx2", "avx512" (case-insensitive). Returns
  * nullopt for anything else — including "auto", which callers treat
  * as "no override" (see resolveIsa()).
  */

@@ -25,9 +25,12 @@
  *     predictedExit <= slo * shedMultiplier -> Deprioritize
  *     otherwise                             -> Shed
  *
- * Deprioritized requests are admitted but demoted (the Priority
- * policy serves them after on-SLO traffic); shed requests never
- * enter the queue. All quantities are in the simEstimate clock
+ * Deprioritized requests are admitted but demoted: the Priority
+ * policy serves them after on-SLO traffic, and the other policies
+ * (Continuous, which the soak and serve_burst run, Fifo and
+ * SizeBucketed) ignore priority, so there the demotion changes no
+ * order and only shows in the counters. Shed requests never enter
+ * the queue. All quantities are in the simEstimate clock
  * domain (simulated device seconds); when the server throttles
  * workers to real time (ServerConfig::realtimeFactor) the same
  * numbers describe wall time up to that factor. See

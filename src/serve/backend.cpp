@@ -23,19 +23,7 @@ ServeBackend::runBatch(const CompiledPlan &cp, size_t n)
 {
     VITCOD_ASSERT(n >= 1, "empty batch");
     const std::string key = cp.key.str();
-
-    accel::RunStats fresh;
-    const accel::RunStats *one_ptr;
-    if (memoizeRuns()) {
-        auto it = memo_.find(key);
-        if (it == memo_.end())
-            it = memo_.emplace(key, runOnce(cp)).first;
-        one_ptr = &it->second;
-    } else {
-        fresh = runOnce(cp);
-        one_ptr = &fresh;
-    }
-    const accel::RunStats &one = *one_ptr;
+    const accel::RunStats one = runOnce(cp);
 
     BatchResult r;
     r.perRequestSeconds = one.seconds;
@@ -58,15 +46,15 @@ ServeBackend::runBatch(const CompiledPlan &cp, size_t n)
     return r;
 }
 
-ViTCoDServeBackend::ViTCoDServeBackend(accel::ViTCoDConfig cfg)
-    : ServeBackend(cfg.name, cfg.freqGhz), interp_(cfg)
+ViTCoDServeBackend::ViTCoDServeBackend(const accel::ViTCoDConfig &cfg)
+    : ServeBackend(cfg.name, cfg.freqGhz)
 {
 }
 
 accel::RunStats
 ViTCoDServeBackend::runOnce(const CompiledPlan &cp) const
 {
-    return interp_.execute(cp.program);
+    return cp.simEstimate;
 }
 
 ModelExecServeBackend::ModelExecServeBackend(
@@ -153,8 +141,15 @@ DeviceServeBackend::DeviceServeBackend(
 accel::RunStats
 DeviceServeBackend::runOnce(const CompiledPlan &cp) const
 {
-    return cp.key.endToEnd ? dev_->runEndToEnd(cp.plan)
-                           : dev_->runAttention(cp.plan);
+    const std::string key = cp.key.str();
+    auto it = memo_.find(key);
+    if (it == memo_.end())
+        it = memo_
+                 .emplace(key, cp.key.endToEnd
+                                   ? dev_->runEndToEnd(cp.plan)
+                                   : dev_->runAttention(cp.plan))
+                 .first;
+    return it->second;
 }
 
 std::unique_ptr<ServeBackend>

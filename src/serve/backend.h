@@ -1,14 +1,14 @@
 /**
  * @file
  * Worker-side execution backends. A ServeBackend adapts one
- * simulated execution target to the serving runtime's unit of work —
- * a same-plan batch — and owns the serving-specific cost model:
+ * execution target to the serving runtime's unit of work — a
+ * same-plan batch — and owns the serving-specific cost model:
  *
- *  - the per-request simulated time of a plan is memoized for
- *    simulator backends (they are deterministic in (plan, config),
- *    so one run per task per backend suffices; batches scale it);
- *    backends that really execute kernels (ModelExec) opt out via
- *    memoizeRuns() and run — and re-time — every batch;
+ *  - each plan is priced once: the ViTCoD backend returns the
+ *    CompiledPlan's simEstimate (priced from the schedule when the
+ *    plan was built), analytic Devices price a plan on its first
+ *    batch per worker and memoize the result, and ModelExec runs —
+ *    and re-times — every batch; batches scale the per-request cost;
  *  - switching a backend between plans pays the plan's
  *    weightLoadSeconds (stream the new model's weights), which is
  *    what makes same-plan batching profitable in simulated time and
@@ -28,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "accel/compiler.h"
 #include "accel/device.h"
 #include "core/model_exec/model_executor.h"
 #include "linalg/engine/engine.h"
@@ -64,43 +63,28 @@ class ServeBackend
     BatchResult runBatch(const CompiledPlan &cp, size_t n);
 
   protected:
-    /**
-     * Execute/simulate a single inference of @p cp. Deterministic
-     * for simulator backends (which is what makes memoization
-     * sound); measured-wall-time backends return a fresh timing per
-     * call and must override memoizeRuns().
-     */
+    /** Cost of a single inference of @p cp on this target. */
     virtual accel::RunStats runOnce(const CompiledPlan &cp) const = 0;
-
-    /**
-     * Memoize runOnce per plan key? True for deterministic
-     * simulators. Backends that really execute work (ModelExec)
-     * return false so every batch runs — and times — the kernels.
-     */
-    virtual bool memoizeRuns() const { return true; }
 
   private:
     std::string name_;
     double freqGhz_;
     std::string lastPlan_;          //!< empty = cold (first batch)
-    std::unordered_map<std::string, accel::RunStats> memo_;
 };
 
 /**
- * The ViTCoD accelerator as a serving backend: executes the cached,
- * shared immutable Program through the instruction Interpreter — the
- * compile step never runs on the serving fast path.
+ * The ViTCoD accelerator as a serving backend: a request costs the
+ * shared CompiledPlan's simEstimate, the static schedule's price —
+ * nothing is compiled, simulated or re-priced on the serving fast
+ * path.
  */
 class ViTCoDServeBackend : public ServeBackend
 {
   public:
-    explicit ViTCoDServeBackend(accel::ViTCoDConfig cfg = {});
+    explicit ViTCoDServeBackend(const accel::ViTCoDConfig &cfg = {});
 
   protected:
     accel::RunStats runOnce(const CompiledPlan &cp) const override;
-
-  private:
-    accel::Interpreter interp_;
 };
 
 /**
@@ -147,9 +131,6 @@ class ModelExecServeBackend : public ServeBackend
   protected:
     accel::RunStats runOnce(const CompiledPlan &cp) const override;
 
-    /** Real execution: never replay a stale wall-time measurement. */
-    bool memoizeRuns() const override { return false; }
-
   private:
     /** Resident per-plan execution state. */
     struct PlanState
@@ -180,7 +161,11 @@ class ModelExecServeBackend : public ServeBackend
     mutable core::model_exec::ExecTrace lastTrace_;
 };
 
-/** Any analytic Device (platform models, SpAtten, Sanger). */
+/**
+ * Any analytic Device (platform models, SpAtten, Sanger). Devices
+ * are deterministic in (plan, config), so each plan key is priced
+ * once per worker and the result memoized.
+ */
 class DeviceServeBackend : public ServeBackend
 {
   public:
@@ -192,14 +177,16 @@ class DeviceServeBackend : public ServeBackend
 
   private:
     std::unique_ptr<accel::Device> dev_;
+    mutable std::unordered_map<std::string, accel::RunStats> memo_;
 };
 
 /**
  * Backend factory by spec name: "ViTCoD", "CPU", "GPU", "EdgeGPU",
  * "SpAtten", "Sanger", "ModelExec" (whole-model forward passes
- * through the ModelExecutor). ViTCoD backends compile-share via
- * @p hw, which must match the PlanCache's config. fatal() on
- * unknown specs.
+ * through the ModelExecutor). ViTCoD backends take their name and
+ * clock from @p hw, which must match the PlanCache's config (their
+ * per-request cost is the cache's simEstimate). fatal() on unknown
+ * specs.
  */
 std::unique_ptr<ServeBackend>
 makeServeBackend(const std::string &spec,

@@ -2,7 +2,7 @@
  * @file
  * Request admission and batch formation. Incoming requests are
  * grouped into same-plan batches — only same-plan requests can share
- * a compiled Program and avoid a weight reload — under one of three
+ * a CompiledPlan and avoid a weight reload — under one of three
  * policies:
  *
  *  - Fifo: strict arrival order; a batch is the longest same-plan

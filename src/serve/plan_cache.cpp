@@ -61,12 +61,11 @@ PlanCache::build(const PlanKey &key) const
     const model::VitModelConfig m = model::modelByName(key.model);
     cp->plan = core::buildModelPlan(
         m, core::makePipelineConfig(key.sparsity, key.useAe));
-    // One schedule build per task: the compiler lowers it, the
-    // simulator prices it, ModelExec workers execute from it.
+    // One schedule build per task: the simulator prices it,
+    // ModelExec workers execute from it.
     cp->schedule =
         core::schedule::ScheduleBuilder({accel::scheduleParams(hw_)})
             .build(cp->plan, key.endToEnd);
-    cp->program = accel::Compiler(hw_).compile(cp->schedule);
     cp->simEstimate =
         accel::ViTCoDAccelerator(hw_).runSchedule(cp->schedule);
     cp->weightLoadSeconds =

@@ -2,8 +2,8 @@
  * @file
  * Shared, thread-safe cache of compiled serving plans. Each distinct
  * PlanKey is built exactly once — the ViTCoD algorithm pipeline
- * (Fig. 10) plus the instruction compiler (Fig. 14) both run on the
- * first request for a task — and the resulting immutable
+ * (Fig. 10), the static schedule and its simulated price all come
+ * from the first request for a task — and the resulting immutable
  * CompiledPlan is shared by reference across every worker thereafter
  * ("one-time compilation cost for each task", Sec. V-B3).
  *
@@ -23,7 +23,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "accel/compiler.h"
+#include "accel/vitcod_accel.h"
 #include "core/pipeline.h"
 #include "serve/request.h"
 
@@ -37,19 +37,18 @@ struct CompiledPlan
 
     /**
      * The compiled Schedule IR: masks scanned and the static
-     * schedule derived exactly once per task. The instruction
-     * stream below is lowered from it, the simulated estimate is
-     * priced from it, and ModelExec workers execute from its
-     * per-head layouts.
+     * schedule derived exactly once per task. The simulated
+     * estimate below is priced from it, and ModelExec workers
+     * execute from its per-head layouts.
      */
     core::schedule::ModelSchedule schedule;
 
-    accel::Program program;    //!< instruction stream (ViTCoD backend)
-
     /**
      * ViTCoD-simulated cost of one inference of this plan (priced
-     * from the schedule at compile time). ServerStats reports it
-     * against each backend's measured per-request latency.
+     * from the schedule at build time). It is what admission
+     * predicts with and what the ViTCoD backend charges per
+     * request; ServerStats reports it against each backend's
+     * measured per-request latency.
      */
     accel::RunStats simEstimate;
 
@@ -60,7 +59,7 @@ struct CompiledPlan
      */
     Seconds weightLoadSeconds = 0;
 
-    /** Wall time the build + compile actually took. */
+    /** Wall time the build actually took. */
     double compileWallSeconds = 0;
 };
 
@@ -103,7 +102,7 @@ class PlanCache
     };
 
     /**
-     * @param hw Hardware configuration the Programs are compiled for.
+     * @param hw Hardware configuration the plans are priced for.
      * @param capacity Max resident plans; 0 = unbounded.
      */
     explicit PlanCache(accel::ViTCoDConfig hw = {}, size_t capacity = 0);
@@ -131,7 +130,7 @@ class PlanCache
         bool ready = false;
     };
 
-    /** Build + compile one plan; runs outside lock_. */
+    /** Build one plan; runs outside lock_. */
     PlanPtr build(const PlanKey &key) const;
 
     accel::ViTCoDConfig hw_;

@@ -20,7 +20,7 @@ namespace vitcod::serve {
 
 /**
  * Identity of a servable task. Two requests with equal keys share
- * the same ModelPlan and compiled Program.
+ * the same ModelPlan and CompiledPlan.
  */
 struct PlanKey
 {

@@ -72,7 +72,7 @@ struct ServerConfig
     /** Plan cache capacity; 0 = unbounded. */
     size_t planCacheCapacity = 0;
 
-    /** Hardware config Programs are compiled for (ViTCoD workers). */
+    /** Hardware config plans are priced for (ViTCoD workers). */
     accel::ViTCoDConfig hw;
 
     /**

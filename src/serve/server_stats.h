@@ -6,7 +6,7 @@
  * device time (what the modeled hardware would take) — because the
  * runtime serves real traffic through simulated silicon. Per-backend
  * counters additionally keep a sim::Tick busy clock, fed by each
- * worker's EventQueue, so utilization can be reported in the
+ * worker's tick counter, so utilization can be reported in the
  * device's own clock domain.
  *
  * Percentiles are exact: raw samples are retained (one double per
@@ -94,10 +94,11 @@ struct StatsSnapshot
      * Per-plan predicted-vs-measured latency. `predicted` is the
      * PlanCache's schedule-derived ViTCoD simulation of one
      * inference; `measured` is what the serving backends actually
-     * reported per request (interpreter time for simulator
-     * backends — which matches the prediction cycle-for-cycle — or
-     * wall time for real-execution backends). The ratio is the
-     * honesty check the shared Schedule IR exists to enable.
+     * reported per request: for the ViTCoD backend the plan's own
+     * simEstimate (ratio exactly 1), for the other simulated devices
+     * their own model's price of the same plan, and wall time for
+     * real-execution backends (ModelExec). The ratio is the honesty
+     * check the shared Schedule IR exists to enable.
      */
     struct PlanLatency
     {

@@ -72,7 +72,7 @@ WorkerPool::workerMain(size_t idx)
 
     // Virtual device clock: ticks advance by each batch's simulated
     // duration, giving busy time in the backend's clock domain.
-    sim::EventQueue deviceClock;
+    sim::Tick deviceTicks = 0;
 
     // Continuous-batching affinity: the plan this worker executed
     // last. The scheduler prefers topping up this plan's next batch
@@ -114,16 +114,12 @@ WorkerPool::workerMain(size_t idx)
         residentPlan = batch->key;
         hasResident = true;
 
-        deviceClock.scheduleAfter(
-            secondsToCycles(r.stats.seconds, backend.freqGhz()),
-            [] {});
-        deviceClock.runUntilEmpty();
-        batchSpan.tick(deviceClock.curTick());
+        deviceTicks += secondsToCycles(r.stats.seconds, backend.freqGhz());
+        batchSpan.tick(deviceTicks);
 
         stats_.recordBatch(idx, n, r.perRequestSeconds * n,
                            r.switchSeconds, r.switched, t1 - t0,
-                           deviceClock.curTick(),
-                           r.stats.energyJoules());
+                           deviceTicks, r.stats.energyJoules());
         // Predicted-vs-measured per plan: the schedule-derived
         // simulation estimate against what this backend reported.
         stats_.recordPlanBatch(batch->key.str(),

@@ -8,11 +8,11 @@
  * scheduler for the next, passing the plan it just executed as its
  * affinity hint so the Continuous policy can top up the resident
  * plan's next batch without a weight reload. Each worker keeps
- * a private sim::EventQueue as its virtual device clock: every
- * executed batch schedules its simulated duration there, so the
- * tick counter accumulates per-backend simulated busy time in the
- * device's own clock domain, separate from the wall-clock timing
- * the worker also records.
+ * a private sim::Tick counter as its virtual device clock: every
+ * executed batch adds its simulated duration, so the counter
+ * accumulates per-backend simulated busy time in the device's own
+ * clock domain, separate from the wall-clock timing the worker also
+ * records.
  *
  * Worker loops run as long-lived tasks on a linalg::engine::
  * ThreadPool (one pool thread per backend) rather than ad-hoc

@@ -1,10 +1,8 @@
 /**
  * @file
- * MAC-line array model. The ViTCoD accelerator has 64 MAC lines of 8
+ * MAC-line array shape. The ViTCoD accelerator has 64 MAC lines of 8
  * MACs each (512 MACs total, paper Sec. VI-A); lines are the unit of
- * allocation between the denser and sparser engines and reconfigure
- * between inter-PE accumulation (K-stationary SDDMM) and intra-PE
- * accumulation (output-stationary SpMM), paper Fig. 12.
+ * allocation between the denser and sparser engines, paper Fig. 12.
  */
 
 #ifndef VITCOD_SIM_MAC_ARRAY_H
@@ -12,16 +10,7 @@
 
 #include <cstddef>
 
-#include "common/units.h"
-
 namespace vitcod::sim {
-
-/** Accumulation mode a MAC line is configured for. */
-enum class AccumMode
-{
-    InterPe, //!< partial sums ripple across MACs (K-stationary QK^T)
-    IntraPe, //!< each MAC owns an output (output-stationary S.V)
-};
 
 /** Array shape. */
 struct MacArrayConfig
@@ -30,52 +19,6 @@ struct MacArrayConfig
     size_t macsPerLine = 8;
 
     size_t totalMacs() const { return macLines * macsPerLine; }
-};
-
-/** Utilization-tracking MAC array. */
-class MacArray
-{
-  public:
-    explicit MacArray(MacArrayConfig cfg = {});
-
-    const MacArrayConfig &config() const { return cfg_; }
-
-    /**
-     * Cycles to execute @p ops MACs on @p lines lines, assuming the
-     * mapping keeps every used MAC busy each cycle except for
-     * quantization remainder. @pre 0 < lines <= macLines.
-     */
-    Cycles cyclesFor(MacOps ops, size_t lines) const;
-
-    /**
-     * Account @p useful_ops executed over @p elapsed cycles on
-     * @p lines lines; feeds utilization statistics.
-     */
-    void recordWork(MacOps useful_ops, Cycles elapsed, size_t lines);
-
-    /** Account a reconfiguration between accumulation modes. */
-    void recordModeSwitch() { ++modeSwitches_; }
-
-    MacOps usefulOps() const { return usefulOps_; }
-    Cycles busyCycles() const { return busyCycles_; }
-    uint64_t modeSwitches() const { return modeSwitches_; }
-
-    /**
-     * Useful MACs divided by available MAC-cycles over the recorded
-     * busy time (1.0 = perfectly dense schedule).
-     */
-    double utilization() const;
-
-    /** Clear statistics. */
-    void resetStats();
-
-  private:
-    MacArrayConfig cfg_;
-    MacOps usefulOps_ = 0;
-    /** Sum over records of elapsed * lines * macsPerLine. */
-    double offeredMacCycles_ = 0.0;
-    Cycles busyCycles_ = 0;
-    uint64_t modeSwitches_ = 0;
 };
 
 } // namespace vitcod::sim

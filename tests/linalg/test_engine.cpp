@@ -126,7 +126,6 @@ isaLaunches(const DispatchStats &st, IsaLevel level)
 {
     switch (level) {
     case IsaLevel::Scalar: return st.isaScalar;
-    case IsaLevel::Neon: return st.isaNeon;
     case IsaLevel::Avx2: return st.isaAvx2;
     case IsaLevel::Avx512: return st.isaAvx512;
     }

@@ -28,12 +28,10 @@ namespace {
 constexpr CpuFeatures kNoSimd{};
 constexpr CpuFeatures kAvx2Only{.avx2 = true};
 constexpr CpuFeatures kAvx512Host{.avx2 = true, .avx512f = true};
-constexpr CpuFeatures kNeonHost{.neon = true};
 
 TEST(IsaNames, ParseAcceptsKnownNamesCaseInsensitive)
 {
     EXPECT_EQ(parseIsaName("scalar"), IsaLevel::Scalar);
-    EXPECT_EQ(parseIsaName("neon"), IsaLevel::Neon);
     EXPECT_EQ(parseIsaName("avx2"), IsaLevel::Avx2);
     EXPECT_EQ(parseIsaName("avx512"), IsaLevel::Avx512);
     EXPECT_EQ(parseIsaName("AVX2"), IsaLevel::Avx2);
@@ -46,8 +44,7 @@ TEST(IsaNames, ParseAcceptsKnownNamesCaseInsensitive)
 
 TEST(IsaNames, RoundTripThroughIsaName)
 {
-    for (IsaLevel l : {IsaLevel::Scalar, IsaLevel::Neon, IsaLevel::Avx2,
-                       IsaLevel::Avx512})
+    for (IsaLevel l : {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Avx512})
         EXPECT_EQ(parseIsaName(isaName(l)), l);
 }
 
@@ -64,7 +61,7 @@ TEST(IsaNames, VariantNamesAreStable)
 
 TEST(CpuSupport, ScalarRunsEverywhere)
 {
-    for (const auto &f : {kNoSimd, kAvx2Only, kAvx512Host, kNeonHost})
+    for (const auto &f : {kNoSimd, kAvx2Only, kAvx512Host})
         EXPECT_TRUE(cpuSupports(f, IsaLevel::Scalar));
 }
 
@@ -75,8 +72,6 @@ TEST(CpuSupport, VectorLevelsRequireTheirFeatures)
     // AVX-512 kernels also use 256-bit double lanes: require AVX2.
     EXPECT_FALSE(cpuSupports(kAvx2Only, IsaLevel::Avx512));
     EXPECT_TRUE(cpuSupports(kAvx512Host, IsaLevel::Avx512));
-    EXPECT_FALSE(cpuSupports(kAvx512Host, IsaLevel::Neon));
-    EXPECT_TRUE(cpuSupports(kNeonHost, IsaLevel::Neon));
 }
 
 TEST(Registry, ScalarTableIsAlwaysCompiledAndComplete)
@@ -95,8 +90,7 @@ TEST(Registry, ScalarTableIsAlwaysCompiledAndComplete)
 
 TEST(Registry, CompiledLevelsHaveCompleteTablesUncompiledHaveNone)
 {
-    for (IsaLevel l : {IsaLevel::Scalar, IsaLevel::Neon, IsaLevel::Avx2,
-                       IsaLevel::Avx512}) {
+    for (IsaLevel l : {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Avx512}) {
         const IsaKernelTable *t = isaKernelTable(l);
         if (isaCompiled(l)) {
             ASSERT_NE(t, nullptr) << isaName(l);
@@ -164,6 +158,8 @@ TEST(ResolveIsa, EmptyAutoOrBadEnvFallsBackToDetection)
     EXPECT_EQ(resolveIsa(std::nullopt, kNoSimd, "auto"), detected);
     EXPECT_EQ(resolveIsa(std::nullopt, kNoSimd, "not-an-isa"),
               detected);
+    // No NEON tier is built: its name is as unknown as any other.
+    EXPECT_EQ(resolveIsa(std::nullopt, kNoSimd, "neon"), detected);
 }
 
 TEST(ResolveIsa, UnsupportedRequestClampsDownNeverUp)
@@ -179,10 +175,6 @@ TEST(ResolveIsa, UnsupportedRequestClampsDownNeverUp)
     EXPECT_EQ(resolveIsa(IsaLevel::Avx512, kNoSimd, nullptr),
               IsaLevel::Scalar);
     EXPECT_EQ(resolveIsa(IsaLevel::Avx2, kNoSimd, nullptr),
-              IsaLevel::Scalar);
-    // NEON requested on an x86 host: nothing at or below it but
-    // Scalar (the enum orders Neon below Avx2 on purpose).
-    EXPECT_EQ(resolveIsa(IsaLevel::Neon, kAvx512Host, nullptr),
               IsaLevel::Scalar);
 }
 
@@ -228,12 +220,10 @@ TEST(IsaEngine, AutoEngineRunsTheHostsBestLevel)
     const auto b = Matrix::randomNormal(64, 64, rng);
     (void)eng.gemm(a, b);
     const DispatchStats st = eng.stats();
-    const uint64_t launches = st.isaScalar + st.isaNeon + st.isaAvx2 +
-                              st.isaAvx512;
+    const uint64_t launches = st.isaScalar + st.isaAvx2 + st.isaAvx512;
     EXPECT_EQ(launches, 1u);
     switch (best) {
     case IsaLevel::Scalar: EXPECT_EQ(st.isaScalar, 1u); break;
-    case IsaLevel::Neon: EXPECT_EQ(st.isaNeon, 1u); break;
     case IsaLevel::Avx2: EXPECT_EQ(st.isaAvx2, 1u); break;
     case IsaLevel::Avx512: EXPECT_EQ(st.isaAvx512, 1u); break;
     }

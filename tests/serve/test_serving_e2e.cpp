@@ -15,7 +15,6 @@
 #include <set>
 #include <vector>
 
-#include "accel/compiler.h"
 #include "dse/pareto.h"
 #include "serve/load_gen.h"
 #include "serve/plan_cache.h"
@@ -50,17 +49,18 @@ struct Collector
     }
 };
 
-TEST(ServingE2E, DeterministicSimAggregatesOnTwoWorkers)
+/** Two identical 2-worker ViTCoD runs of @p key, checked exactly. */
+void
+checkDeterministicSimAggregates(const PlanKey &key)
 {
-    const PlanKey key = tinyKey();
+    SCOPED_TRACE(key.str());
     constexpr size_t kRequests = 32;
 
-    // Independently computed ground truth: one simulated inference
-    // of the shared Program.
+    // Ground truth: the plan's own schedule-priced estimate, from a
+    // separately built cache.
     PlanCache reference;
     const auto cp = reference.get(key);
-    const double single =
-        accel::Interpreter(accel::ViTCoDConfig{}).execute(cp->program).seconds;
+    const double single = cp->simEstimate.seconds;
     ASSERT_GT(single, 0.0);
 
     auto runOnce = [&](Collector &col) {
@@ -109,14 +109,14 @@ TEST(ServingE2E, DeterministicSimAggregatesOnTwoWorkers)
     EXPECT_NEAR(busy1, static_cast<double>(kRequests) * single,
                 1e-9);
 
-    // Predicted-vs-measured per plan: the ViTCoD backend executes
-    // the schedule's own program, so measurement equals the cached
-    // schedule-derived prediction exactly.
+    // Predicted-vs-measured per plan: the ViTCoD backend charges
+    // the plan's simEstimate, so measurement equals the prediction
+    // exactly, attention-only and end to end alike.
     ASSERT_EQ(snap1.plans.size(), 1u);
     EXPECT_EQ(snap1.plans[0].key, key.str());
     EXPECT_EQ(snap1.plans[0].requests, kRequests);
     EXPECT_DOUBLE_EQ(snap1.plans[0].predictedSeconds, single);
-    EXPECT_NEAR(snap1.plans[0].ratio(), 1.0, 1e-9);
+    EXPECT_EQ(snap1.plans[0].ratio(), 1.0);
 
     // Plan switches: a single-task trace switches each worker at
     // most once (cold load), and the switch cost matches the plan's.
@@ -148,6 +148,14 @@ TEST(ServingE2E, DeterministicSimAggregatesOnTwoWorkers)
                          snap2.backends[1].busySimSeconds;
     EXPECT_NEAR(busy2, busy1, 1e-12);
     EXPECT_EQ(cache2.misses, cache1.misses);
+}
+
+TEST(ServingE2E, DeterministicSimAggregatesOnTwoWorkers)
+{
+    PlanKey e2e = tinyKey();
+    e2e.endToEnd = true;
+    for (const PlanKey &key : {tinyKey(), e2e})
+        checkDeterministicSimAggregates(key);
 }
 
 TEST(ServingE2E, HeterogeneousPoolServesMixedBurst)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests of the MAC-line array model.
+ * Tests of the MAC-line array shape.
  */
 
 #include <gtest/gtest.h>
@@ -14,62 +14,6 @@ TEST(MacArray, PaperConfigTotals)
 {
     MacArrayConfig cfg;
     EXPECT_EQ(cfg.totalMacs(), 512u); // 64 lines x 8 MACs
-}
-
-TEST(MacArray, CyclesForExactFit)
-{
-    MacArray arr;
-    // 512 MACs on 64 lines: one cycle.
-    EXPECT_EQ(arr.cyclesFor(512, 64), 1u);
-    EXPECT_EQ(arr.cyclesFor(513, 64), 2u);
-    EXPECT_EQ(arr.cyclesFor(512, 32), 2u);
-}
-
-TEST(MacArray, FewerLinesMoreCycles)
-{
-    MacArray arr;
-    const MacOps ops = 100000;
-    EXPECT_GT(arr.cyclesFor(ops, 8), arr.cyclesFor(ops, 32));
-}
-
-TEST(MacArray, UtilizationPerfectSchedule)
-{
-    MacArray arr;
-    arr.recordWork(512 * 100, 100, 64);
-    EXPECT_DOUBLE_EQ(arr.utilization(), 1.0);
-}
-
-TEST(MacArray, UtilizationHalfIdle)
-{
-    MacArray arr;
-    arr.recordWork(512 * 50, 100, 64);
-    EXPECT_DOUBLE_EQ(arr.utilization(), 0.5);
-}
-
-TEST(MacArray, UtilizationAggregatesRecords)
-{
-    MacArray arr;
-    arr.recordWork(8 * 10, 10, 1);   // full on one line
-    arr.recordWork(0, 10, 1);        // idle
-    EXPECT_DOUBLE_EQ(arr.utilization(), 0.5);
-}
-
-TEST(MacArray, ModeSwitchCounting)
-{
-    MacArray arr;
-    arr.recordModeSwitch();
-    arr.recordModeSwitch();
-    EXPECT_EQ(arr.modeSwitches(), 2u);
-    arr.resetStats();
-    EXPECT_EQ(arr.modeSwitches(), 0u);
-    EXPECT_DOUBLE_EQ(arr.utilization(), 0.0);
-}
-
-TEST(MacArrayDeath, BadLineAllocation)
-{
-    MacArray arr;
-    EXPECT_DEATH(arr.cyclesFor(100, 0), "bad line allocation");
-    EXPECT_DEATH(arr.cyclesFor(100, 65), "bad line allocation");
 }
 
 } // namespace
