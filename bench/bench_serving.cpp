@@ -275,7 +275,6 @@ main(int argc, char **argv)
                          static_cast<uint64_t>(kRequests))
                     .set("offered_rps", rep.offeredRps)
                     .set("completion_rps", rep.completionRps)
-                    .set("achieved_rps", rep.achievedRps)
                     .set("wall_p50_ms", s.wallP50 * 1e3)
                     .set("wall_p95_ms", s.wallP95 * 1e3)
                     .set("wall_p99_ms", s.wallP99 * 1e3)

@@ -81,11 +81,11 @@ main(int argc, char **argv)
         traffic.seed = 42;
 
         const serve::TrafficReport rep =
-            serve::runPoissonTraffic(server, traffic);
+            serve::runTraffic(server, traffic);
         const serve::StatsSnapshot s = server.snapshot();
 
         std::printf("%9.0f %9.0f %9.3f %9.3f %9.3f %9.2f %9.2f\n",
-                    rep.offeredRatePerSec, rep.achievedRps,
+                    rep.offeredRatePerSec, rep.completionRps,
                     s.wallP50 * 1e3, s.wallP95 * 1e3, s.wallP99 * 1e3,
                     s.meanBatchSize, s.meanQueueDepth);
 
@@ -117,7 +117,7 @@ main(int argc, char **argv)
                     traffic.requests, traceOut.c_str());
         serve::InferenceServer server(tcfg);
         server.warmup({deit, levit});
-        serve::runPoissonTraffic(server, traffic);
+        serve::runTraffic(server, traffic);
         server.drain();
         server.shutdown(); // stops the tracer and writes traceOut
     }

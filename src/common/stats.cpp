@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "logging.h"
-
 namespace vitcod {
 
 void
@@ -43,60 +41,6 @@ RunningStat::geomean() const
     if (n_ == 0 || !allPositive_)
         return 0.0;
     return std::exp(logSum_ / static_cast<double>(n_));
-}
-
-Histogram::Histogram(double lo, double hi, size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    VITCOD_ASSERT(bins >= 1, "histogram needs at least one bin");
-    VITCOD_ASSERT(hi > lo, "histogram range must be non-empty");
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-        return;
-    }
-    if (x >= hi_) {
-        ++overflow_;
-        return;
-    }
-    const double frac = (x - lo_) / (hi_ - lo_);
-    auto bin = static_cast<size_t>(frac * static_cast<double>(bins()));
-    bin = std::min(bin, bins() - 1);
-    ++counts_[bin];
-}
-
-double
-Histogram::binLo(size_t i) const
-{
-    const double width = (hi_ - lo_) / static_cast<double>(bins());
-    return lo_ + width * static_cast<double>(i);
-}
-
-double
-Histogram::quantile(double q) const
-{
-    VITCOD_ASSERT(q >= 0.0 && q <= 1.0, "quantile q out of [0,1]");
-    uint64_t in_range = total_ - underflow_ - overflow_;
-    if (in_range == 0)
-        return lo_;
-    const double target = q * static_cast<double>(in_range);
-    double cum = 0.0;
-    const double width = (hi_ - lo_) / static_cast<double>(bins());
-    for (size_t i = 0; i < bins(); ++i) {
-        const double next = cum + static_cast<double>(counts_[i]);
-        if (next >= target) {
-            const double within =
-                counts_[i] ? (target - cum) / counts_[i] : 0.0;
-            return binLo(i) + within * width;
-        }
-        cum = next;
-    }
-    return hi_;
 }
 
 } // namespace vitcod

@@ -1,17 +1,16 @@
 /**
  * @file
- * Lightweight statistics helpers: streaming mean/variance, geometric
+ * Lightweight statistics helper: streaming mean/variance, geometric
  * mean (the paper's "on-average X× speedup" figures are geomeans over
- * models), min/max tracking and simple histograms.
+ * models) and min/max tracking. Distributions (latency percentiles)
+ * live in obs::Histogram.
  */
 
 #ifndef VITCOD_COMMON_STATS_H
 #define VITCOD_COMMON_STATS_H
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace vitcod {
 
@@ -61,56 +60,6 @@ class RunningStat
     bool allPositive_ = true;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Fixed-range histogram with uniform bins, used to profile attention
- * score distributions and engine utilization.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo Lower edge of the first bin.
-     * @param hi Upper edge of the last bin.
-     * @param bins Number of uniform bins; must be >= 1.
-     */
-    Histogram(double lo, double hi, size_t bins);
-
-    /** Add a sample; out-of-range samples land in under/overflow. */
-    void add(double x);
-
-    /** Count in bin @p i. */
-    uint64_t binCount(size_t i) const { return counts_.at(i); }
-
-    /** Number of bins. */
-    size_t bins() const { return counts_.size(); }
-
-    /** Samples below the range. */
-    uint64_t underflow() const { return underflow_; }
-
-    /** Samples at or above the upper edge. */
-    uint64_t overflow() const { return overflow_; }
-
-    /** Total samples added, including under/overflow. */
-    uint64_t total() const { return total_; }
-
-    /** Lower edge of bin @p i. */
-    double binLo(size_t i) const;
-
-    /**
-     * Value below which @p q of the in-range mass lies (linear
-     * interpolation inside the bin). @pre 0 <= q <= 1.
-     */
-    double quantile(double q) const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<uint64_t> counts_;
-    uint64_t underflow_ = 0;
-    uint64_t overflow_ = 0;
-    uint64_t total_ = 0;
 };
 
 } // namespace vitcod

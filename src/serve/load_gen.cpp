@@ -221,18 +221,11 @@ runTraffic(InferenceServer &server, const TrafficConfig &cfg)
             ? static_cast<double>(rep.submitted - rep.shed) /
                   rep.durationSeconds
             : 0.0;
-    rep.achievedRps = rep.completionRps;
     rep.shedRate = rep.submitted > 0
                        ? static_cast<double>(rep.shed) /
                              static_cast<double>(rep.submitted)
                        : 0.0;
     return rep;
-}
-
-TrafficReport
-runPoissonTraffic(InferenceServer &server, const TrafficConfig &cfg)
-{
-    return runTraffic(server, cfg);
 }
 
 } // namespace vitcod::serve

@@ -124,8 +124,6 @@ struct TrafficReport
     double durationSeconds = 0;
     /** (submitted - shed) / durationSeconds — completion rate. */
     double completionRps = 0;
-    /** Legacy alias of completionRps. */
-    double achievedRps = 0;
 
     /** shed / submitted (0 when nothing was offered). */
     double shedRate = 0;
@@ -138,10 +136,6 @@ struct TrafficReport
  */
 TrafficReport runTraffic(InferenceServer &server,
                          const TrafficConfig &cfg);
-
-/** Back-compat name; identical to runTraffic(). */
-TrafficReport runPoissonTraffic(InferenceServer &server,
-                                const TrafficConfig &cfg);
 
 } // namespace vitcod::serve
 

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace vitcod::serve {
@@ -84,20 +83,10 @@ InferenceServer::submit(const PlanKey &key, int priority)
     const AdmissionDecision decision =
         admission_.decide(key.str(), service);
     stats_.recordAdmission(decision);
-    if (decision == AdmissionDecision::Shed) {
-        obs::metrics()
-            .counter("vitcod_serve_requests_shed_total",
-                     "Requests rejected by SLO admission control")
-            .inc();
+    if (decision == AdmissionDecision::Shed)
         return 0;
-    }
-    if (decision == AdmissionDecision::Deprioritize) {
+    if (decision == AdmissionDecision::Deprioritize)
         priority -= cfg_.admission.deprioritizeDelta;
-        obs::metrics()
-            .counter("vitcod_serve_requests_deprioritized_total",
-                     "Requests admitted in the SLO grace band")
-            .inc();
-    }
 
     InferenceRequest req;
     req.id = nextId_.fetch_add(1, std::memory_order_relaxed);
@@ -112,17 +101,9 @@ InferenceServer::submit(const PlanKey &key, int priority)
     // Flow arrow tail: the matching steps/head are emitted on the
     // worker track that ends up executing this request.
     obs::flowStart("request", id, "serve");
-    obs::metrics()
-        .counter("vitcod_serve_requests_submitted_total",
-                 "Requests admitted by InferenceServer::submit")
-        .inc();
     scheduler_.submit(std::move(req));
     const size_t depth = scheduler_.depth();
     stats_.sampleQueueDepth(depth);
-    obs::metrics()
-        .gauge("vitcod_serve_queue_depth",
-               "Scheduler queue depth observed at last submit")
-        .set(static_cast<double>(depth));
     obs::counterEvent("queue_depth", static_cast<double>(depth),
                       "serve");
     return id;

@@ -56,8 +56,8 @@ struct ServerConfig
      * each request's queue-exit latency from the plan's simEstimate
      * and the current backlog, and admits / deprioritizes / sheds
      * against the per-plan SLO. Shed requests are counted in
-     * ServerStats and the obs metrics registry; submit() returns 0
-     * for them. See docs/SERVING.md.
+     * ServerStats; submit() returns 0 for them. See
+     * docs/SERVING.md.
      */
     AdmissionConfig admission;
 

@@ -1,31 +1,37 @@
 #include "serve/server_stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
 
 namespace vitcod::serve {
 
-namespace {
-
-/** Exact percentile of @p v (copied; nth_element). 0 when empty. */
-double
-percentile(std::vector<double> v, double p)
+ServerStats::ServerStats()
+    : wallLatency_(registry_.histogram(
+          "vitcod_serve_wall_latency_seconds",
+          "Request wall latency, submit to completion")),
+      queueWait_(registry_.histogram(
+          "vitcod_serve_queue_wait_seconds",
+          "Request queueing delay, submit to dispatch")),
+      simService_(registry_.histogram(
+          "vitcod_serve_sim_service_seconds",
+          "Simulated per-request device service time")),
+      batchSize_(registry_.histogram("vitcod_serve_batch_size",
+                                     "Requests per executed batch")),
+      queueDepth_(registry_.histogram(
+          "vitcod_serve_queue_depth",
+          "Scheduler queue depth observed at each submit")),
+      admitted_(registry_.counter(
+          "vitcod_serve_requests_admitted_total",
+          "Requests admitted by InferenceServer::submit")),
+      deprioritized_(registry_.counter(
+          "vitcod_serve_requests_deprioritized_total",
+          "Requests admitted in the SLO grace band")),
+      shed_(registry_.counter(
+          "vitcod_serve_requests_shed_total",
+          "Requests rejected by SLO admission control"))
 {
-    if (v.empty())
-        return 0.0;
-    const double rank =
-        std::ceil(p * static_cast<double>(v.size())) - 1;
-    const auto idx = static_cast<size_t>(std::clamp(
-        rank, 0.0, static_cast<double>(v.size() - 1)));
-    std::nth_element(v.begin(),
-                     v.begin() + static_cast<std::ptrdiff_t>(idx),
-                     v.end());
-    return v[idx];
 }
-
-} // namespace
 
 void
 ServerStats::registerBackend(size_t worker, const std::string &name)
@@ -42,6 +48,7 @@ ServerStats::recordBatch(size_t worker, size_t batch_size,
                          bool switched, double wall_seconds,
                          sim::Tick busy_ticks, double energy_joules)
 {
+    batchSize_.observe(static_cast<double>(batch_size));
     std::lock_guard<std::mutex> g(lock_);
     VITCOD_ASSERT(worker < backends_.size(),
                   "recordBatch for unregistered worker ", worker);
@@ -54,17 +61,15 @@ ServerStats::recordBatch(size_t worker, size_t batch_size,
     b.busyTicks = busy_ticks;
     b.busyWallSeconds += wall_seconds;
     b.energyJoules += energy_joules;
-    batchSize_.add(static_cast<double>(batch_size));
     energyJoules_ += energy_joules;
 }
 
 void
 ServerStats::recordResponse(const InferenceResponse &resp)
 {
-    std::lock_guard<std::mutex> g(lock_);
-    wallLatency_.push_back(resp.wallLatencySeconds);
-    queueWait_.push_back(resp.queueSeconds);
-    simService_.push_back(resp.simSeconds);
+    wallLatency_.observe(resp.wallLatencySeconds);
+    queueWait_.observe(resp.queueSeconds);
+    simService_.observe(resp.simSeconds);
 }
 
 void
@@ -88,67 +93,67 @@ ServerStats::recordPlanBatch(const std::string &plan_key,
 void
 ServerStats::sampleQueueDepth(size_t depth)
 {
-    std::lock_guard<std::mutex> g(lock_);
-    queueDepth_.add(static_cast<double>(depth));
+    queueDepth_.observe(static_cast<double>(depth));
 }
 
 void
 ServerStats::recordAdmission(AdmissionDecision d)
 {
-    std::lock_guard<std::mutex> g(lock_);
     switch (d) {
-    case AdmissionDecision::Admit: ++admitted_; break;
+    case AdmissionDecision::Admit: admitted_.inc(); break;
     case AdmissionDecision::Deprioritize:
-        ++admitted_;
-        ++deprioritized_;
+        admitted_.inc();
+        deprioritized_.inc();
         break;
-    case AdmissionDecision::Shed: ++shed_; break;
+    case AdmissionDecision::Shed: shed_.inc(); break;
     }
 }
 
 StatsSnapshot
 ServerStats::snapshot(double elapsed_seconds) const
 {
-    std::unique_lock<std::mutex> g(lock_);
-
     StatsSnapshot s;
-    s.completed = wallLatency_.size();
+    s.metrics = registry_.snapshot();
+    const obs::Histogram::Snapshot wall = wallLatency_.snapshot();
+    const obs::Histogram::Snapshot queue = queueWait_.snapshot();
+    const obs::Histogram::Snapshot sim = simService_.snapshot();
+    const obs::Histogram::Snapshot batch = batchSize_.snapshot();
+    const obs::Histogram::Snapshot depth = queueDepth_.snapshot();
+
+    s.completed = wall.count;
     s.elapsedSeconds = elapsed_seconds;
     s.throughputRps =
         elapsed_seconds > 0
             ? static_cast<double>(s.completed) / elapsed_seconds
             : 0.0;
 
-    s.admitted = admitted_;
-    s.deprioritized = deprioritized_;
-    s.shed = shed_;
-    s.shedRate = (admitted_ + shed_) > 0
-                     ? static_cast<double>(shed_) /
-                           static_cast<double>(admitted_ + shed_)
+    s.admitted = admitted_.value();
+    s.deprioritized = deprioritized_.value();
+    s.shed = shed_.value();
+    s.shedRate = (s.admitted + s.shed) > 0
+                     ? static_cast<double>(s.shed) /
+                           static_cast<double>(s.admitted + s.shed)
                      : 0.0;
 
-    s.wallP50 = percentile(wallLatency_, 0.50);
-    s.wallP95 = percentile(wallLatency_, 0.95);
-    s.wallP99 = percentile(wallLatency_, 0.99);
-    if (!wallLatency_.empty()) {
-        RunningStat rs;
-        for (double x : wallLatency_)
-            rs.add(x);
-        s.wallMean = rs.mean();
-        s.wallMax = rs.max();
-    }
+    s.wallP50 = wall.quantile(0.50);
+    s.wallP95 = wall.quantile(0.95);
+    s.wallP99 = wall.quantile(0.99);
+    s.wallMean = wall.mean();
+    s.wallMax = wall.max;
 
-    s.queueP50 = percentile(queueWait_, 0.50);
-    s.queueP95 = percentile(queueWait_, 0.95);
-    s.queueP99 = percentile(queueWait_, 0.99);
+    s.queueP50 = queue.quantile(0.50);
+    s.queueP95 = queue.quantile(0.95);
+    s.queueP99 = queue.quantile(0.99);
 
-    s.simP50 = percentile(simService_, 0.50);
-    s.simP95 = percentile(simService_, 0.95);
-    s.simP99 = percentile(simService_, 0.99);
+    s.simP50 = sim.quantile(0.50);
+    s.simP95 = sim.quantile(0.95);
+    s.simP99 = sim.quantile(0.99);
 
-    s.meanBatchSize = batchSize_.mean();
-    s.meanQueueDepth = queueDepth_.mean();
-    s.maxQueueDepth = queueDepth_.count() ? queueDepth_.max() : 0.0;
+    s.meanBatchSize = batch.mean();
+    s.meanQueueDepth = depth.mean();
+    s.maxQueueDepth = depth.max;
+
+    std::lock_guard<std::mutex> g(lock_);
     s.totalEnergyJoules = energyJoules_;
 
     for (const auto &b : backends_) {
@@ -190,12 +195,6 @@ ServerStats::snapshot(double elapsed_seconds) const
                  const StatsSnapshot::PlanLatency &b) {
                   return a.key < b.key;
               });
-
-    // Released before touching the metrics registry: it takes its
-    // own lock, and nesting it under lock_ would couple two
-    // modules' lock orders (obs callbacks may reach serve code).
-    g.unlock();
-    s.metrics = obs::metrics().snapshot();
     return s;
 }
 

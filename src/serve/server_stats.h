@@ -9,10 +9,12 @@
  * worker's tick counter, so utilization can be reported in the
  * device's own clock domain.
  *
- * Percentiles are exact: raw samples are retained (one double per
- * request per track) and selected with nth_element at snapshot time,
- * which at serving-simulation scales (<= millions of requests) is
- * cheaper than getting histogram ranges wrong.
+ * Per-request numbers (latencies, batch size, queue depth, admission
+ * outcomes) are recorded once, into instruments of a per-server
+ * obs::MetricsRegistry: memory and snapshot cost are constant in run
+ * length, and percentiles are the containing log-bucket's upper
+ * bound (at most 2^(1/4)-1 ~ 19% high, never above the max). Counts,
+ * means and maxima are exact.
  */
 
 #ifndef VITCOD_SERVE_SERVER_STATS_H
@@ -24,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/units.h"
 #include "obs/metrics.h"
 #include "serve/admission.h"
@@ -58,7 +59,11 @@ struct StatsSnapshot
     double elapsedSeconds = 0;
     double throughputRps = 0;
 
-    /** @name Admission-control outcomes (all zero when disabled)
+    /**
+     * @name Admission-control outcomes
+     * Every accepted submit counts as admitted, also when admission
+     * control is disabled (its decision is then always Admit); only
+     * deprioritized and shed stay zero with it off.
      *  @{ */
     uint64_t admitted = 0;      //!< incl. deprioritized
     uint64_t deprioritized = 0; //!< admitted in the grace band
@@ -132,10 +137,10 @@ struct StatsSnapshot
     std::vector<PlanLatency> plans;
 
     /**
-     * Values of every obs::metrics() metric at snapshot time, so a
-     * periodic StatsSnapshot poll carries the telemetry registry
-     * (queue depth gauge, latency histograms, ...) alongside the
-     * exact-percentile aggregates above.
+     * This server's vitcod_serve_* instruments at snapshot time (the
+     * histograms and counters behind the latency, batch, queue-depth
+     * and admission fields above), so a periodic StatsSnapshot poll
+     * doubles as a metrics scrape.
      */
     obs::MetricsSnapshot metrics;
 };
@@ -144,6 +149,8 @@ struct StatsSnapshot
 class ServerStats
 {
   public:
+    ServerStats();
+
     /** Declare worker @p worker's backend; call before start. */
     void registerBackend(size_t worker, const std::string &name);
 
@@ -153,7 +160,7 @@ class ServerStats
                      bool switched, double wall_seconds,
                      sim::Tick busy_ticks, double energy_joules);
 
-    /** Record one completed request. */
+    /** Record one completed request (lock-free). */
     void recordResponse(const InferenceResponse &resp);
 
     /**
@@ -167,19 +174,13 @@ class ServerStats
                          Seconds predicted_seconds,
                          Seconds measured_seconds, size_t requests);
 
-    /** Record an observation of the scheduler queue depth. */
+    /** Record an observation of the scheduler queue depth (lock-free). */
     void sampleQueueDepth(size_t depth);
 
-    /** Record one admission decision (admit/deprioritize/shed). */
+    /** Record one admission decision (lock-free). */
     void recordAdmission(AdmissionDecision d);
 
-    /**
-     * Aggregate view after @p elapsed_seconds of serving. The
-     * obs::metrics() registry snapshot is taken *after* the stats
-     * lock is released — the registry has its own locking, and
-     * nesting foreign locks under lock_ risks cross-module lock
-     * inversion.
-     */
+    /** Aggregate view after @p elapsed_seconds of serving. */
     StatsSnapshot snapshot(double elapsed_seconds) const;
 
   private:
@@ -203,17 +204,20 @@ class ServerStats
         uint64_t requests = 0;
     };
 
+    // Declared before the instrument references bound to it.
+    obs::MetricsRegistry registry_;
+    obs::Histogram &wallLatency_;
+    obs::Histogram &queueWait_;
+    obs::Histogram &simService_;
+    obs::Histogram &batchSize_;
+    obs::Histogram &queueDepth_;
+    obs::Counter &admitted_;
+    obs::Counter &deprioritized_;
+    obs::Counter &shed_;
+
     mutable std::mutex lock_;
     std::vector<BackendCounters> backends_;
     std::unordered_map<std::string, PlanCounters> plans_;
-    uint64_t admitted_ = 0;
-    uint64_t deprioritized_ = 0;
-    uint64_t shed_ = 0;
-    std::vector<double> wallLatency_;
-    std::vector<double> queueWait_;
-    std::vector<double> simService_;
-    RunningStat batchSize_;
-    RunningStat queueDepth_;
     double energyJoules_ = 0;
 };
 

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/units.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace vitcod::serve {
@@ -57,18 +56,6 @@ WorkerPool::workerMain(size_t idx)
     ServeBackend &backend = *backends_[idx];
     obs::TraceSession::instance().setThreadName(
         "serve-" + std::to_string(idx) + "-" + backend.name());
-
-    obs::MetricsRegistry &reg = obs::metrics();
-    obs::Counter &batchesTotal = reg.counter(
-        "vitcod_serve_batches_total", "Batches executed by workers");
-    obs::Counter &completedTotal =
-        reg.counter("vitcod_serve_requests_completed_total",
-                    "Requests completed by workers");
-    obs::Histogram &wallLatency =
-        reg.histogram("vitcod_serve_wall_latency_seconds",
-                      "Request wall latency, submit to completion");
-    obs::Histogram &batchSize = reg.histogram(
-        "vitcod_serve_batch_size", "Requests per executed batch");
 
     // Virtual device clock: ticks advance by each batch's simulated
     // duration, giving busy time in the backend's clock domain.
@@ -125,8 +112,6 @@ WorkerPool::workerMain(size_t idx)
         stats_.recordPlanBatch(batch->key.str(),
                                cp->simEstimate.seconds,
                                r.perRequestSeconds, n);
-        batchesTotal.inc();
-        batchSize.observe(static_cast<double>(n));
 
         for (const InferenceRequest &req : batch->requests) {
             InferenceResponse resp;
@@ -146,8 +131,6 @@ WorkerPool::workerMain(size_t idx)
             resp.deprioritized = req.deprioritized;
             stats_.recordResponse(resp);
             obs::flowEnd("request", req.id, "serve");
-            completedTotal.inc();
-            wallLatency.observe(resp.wallLatencySeconds);
             if (onComplete_)
                 onComplete_(resp);
         }

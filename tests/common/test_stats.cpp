@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests of RunningStat and Histogram.
+ * Tests of RunningStat.
  */
 
 #include <gtest/gtest.h>
@@ -66,53 +66,6 @@ TEST(RunningStat, SingleSample)
     EXPECT_DOUBLE_EQ(s.mean(), 42.0);
     EXPECT_DOUBLE_EQ(s.variance(), 0.0);
     EXPECT_NEAR(s.geomean(), 42.0, 1e-9);
-}
-
-TEST(Histogram, BinningBasics)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(1.5);
-    h.add(1.9);
-    h.add(9.99);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(1), 2u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, UnderOverflow)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(-0.1);
-    h.add(1.0); // upper edge counts as overflow
-    h.add(2.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, BinEdges)
-{
-    Histogram h(0.0, 100.0, 10);
-    EXPECT_DOUBLE_EQ(h.binLo(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.binLo(5), 50.0);
-    EXPECT_DOUBLE_EQ(h.binLo(9), 90.0);
-}
-
-TEST(Histogram, MedianOfUniformFill)
-{
-    Histogram h(0.0, 1.0, 100);
-    for (int i = 0; i < 1000; ++i)
-        h.add((i + 0.5) / 1000.0);
-    EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-    EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-}
-
-TEST(Histogram, QuantileOfEmptyIsLo)
-{
-    Histogram h(2.0, 4.0, 4);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);
 }
 
 } // namespace

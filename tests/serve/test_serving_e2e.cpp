@@ -180,9 +180,9 @@ TEST(ServingE2E, HeterogeneousPoolServesMixedBurst)
     traffic.seed = 7;
     traffic.openLoop = false;
 
-    const TrafficReport rep = runPoissonTraffic(server, traffic);
+    const TrafficReport rep = runTraffic(server, traffic);
     EXPECT_EQ(rep.submitted, 200u);
-    EXPECT_GT(rep.achievedRps, 0.0);
+    EXPECT_GT(rep.completionRps, 0.0);
 
     const auto snap = server.snapshot();
     EXPECT_EQ(snap.completed, 200u);
@@ -319,10 +319,14 @@ TEST(ServingE2E, ContinuousPolicyServesEverythingOnce)
     }
     EXPECT_EQ(doneIds, ids);
 
+    // A disabled controller decides Admit for every request, so
+    // `admitted` counts each accepted submit; only the grace-band
+    // and shed counters stay zero.
     const auto snap = server.snapshot();
     EXPECT_EQ(snap.completed, kRequests);
+    EXPECT_EQ(snap.admitted, snap.completed);
     EXPECT_EQ(snap.shed, 0u);
-    EXPECT_EQ(snap.admitted, kRequests);
+    EXPECT_EQ(snap.deprioritized, 0u);
 }
 
 TEST(ServingE2E, AdmissionShedsUnderRealtimeOverload)
@@ -407,7 +411,52 @@ TEST(ServingE2E, TrafficReportSeparatesOfferedAndCompletionRates)
     EXPECT_NEAR(rep.completionRps, 100.0 / rep.durationSeconds,
                 1e-6);
     EXPECT_GE(rep.offeredRps, rep.completionRps);
-    EXPECT_DOUBLE_EQ(rep.achievedRps, rep.completionRps);
+}
+
+/** Count of histogram @p name in @p m (fails the test if absent). */
+uint64_t
+histogramCount(const obs::MetricsSnapshot &m, const std::string &name)
+{
+    for (const auto &h : m.histograms)
+        if (h.name == name)
+            return h.hist.count;
+    ADD_FAILURE() << "no histogram " << name;
+    return 0;
+}
+
+/** Submit @p n tiny-plan requests to @p server, drain, snapshot. */
+StatsSnapshot
+serveAndDrain(InferenceServer &server, size_t n)
+{
+    server.warmup({tinyKey()});
+    for (size_t i = 0; i < n; ++i)
+        EXPECT_NE(server.submit(tinyKey()), 0u);
+    server.drain();
+    return server.snapshot();
+}
+
+TEST(ServingE2E, TwoServersKeepSeparateMetrics)
+{
+    // Each server records into its own registry: serving numbers of
+    // one server must not leak into another's snapshot in the same
+    // process.
+    ServerConfig cfg;
+    cfg.backends = {"ViTCoD"};
+    InferenceServer a(cfg);
+    InferenceServer b(cfg);
+
+    const StatsSnapshot sa = serveAndDrain(a, 12);
+    const StatsSnapshot sb = serveAndDrain(b, 30);
+    EXPECT_EQ(sa.completed, 12u);
+    EXPECT_EQ(sb.completed, 30u);
+    for (const StatsSnapshot *s : {&sa, &sb}) {
+        EXPECT_EQ(histogramCount(s->metrics,
+                                 "vitcod_serve_wall_latency_seconds"),
+                  s->completed);
+        EXPECT_EQ(histogramCount(s->metrics,
+                                 "vitcod_serve_queue_depth"),
+                  s->admitted);
+    }
 }
 
 } // namespace
