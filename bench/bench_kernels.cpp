@@ -1,10 +1,10 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the golden kernels and the
- * simulation substrate at DeiT shapes — library QA rather than a
- * paper figure: these are the functional references every
- * accelerator model is validated against, so their throughput
- * bounds the test suite's and benches' wall time.
+ * google-benchmark microbenchmarks of the golden kernels at DeiT
+ * shapes — library QA rather than a paper figure: these are the
+ * functional references every accelerator model is validated
+ * against, so their throughput bounds the test suite's and benches'
+ * wall time.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,7 +14,6 @@
 #include "linalg/kernels.h"
 #include "linalg/sparse_kernels.h"
 #include "model/attention_gen.h"
-#include "sim/event_queue.h"
 
 using namespace vitcod;
 
@@ -109,21 +108,6 @@ BM_AttentionMapGeneration(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AttentionMapGeneration);
-
-void
-BM_EventQueueThroughput(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sim::EventQueue eq;
-        uint64_t fired = 0;
-        for (sim::Tick t = 0; t < 10000; ++t)
-            eq.schedule(t, [&fired] { ++fired; });
-        eq.runUntilEmpty();
-        benchmark::DoNotOptimize(fired);
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_EventQueueThroughput);
 
 } // namespace
 

@@ -6,7 +6,8 @@
  * a deep-FIFO machine, the validation contract of
  * docs/SIMULATOR.md, and > 1.0 on a shallow-FIFO machine behind a
  * starved DRAM where backpressure stalls are real — and (b) the
- * event-processing throughput of the machine itself. The ratios
+ * pricing throughput of the machine itself, in stage operations
+ * (PipelineStats::events) per second. The ratios
  * are ratios of two cycle counts from the same run, so the
  * perf-smoke gate (bench/baselines/pipeline_baseline.json)
  * transfers across runner speeds; events/sec is gated only by a
@@ -45,9 +46,9 @@ main(int argc, char **argv)
     if (!opts.json)
         bench::printHeader(
             "Pipelined simulator - backpressure pricing and "
-            "event throughput",
-            "event-driven twin of the analytic recurrence; "
-            "validation contract in docs/SIMULATOR.md");
+            "stage-operation throughput",
+            "finite-FIFO recurrence over the analytic model's "
+            "items; validation contract in docs/SIMULATOR.md");
 
     bench::PlanCache cache;
     const double sparsity = 0.9;
@@ -99,8 +100,9 @@ main(int argc, char **argv)
             static_cast<double>(tp.pipeline.stallCycles()) /
             static_cast<double>(tp.pipeline.fetch.total() * 4);
 
-        // Event throughput of the machine itself (wall time of the
-        // whole pipelined pricing, events from its exact count).
+        // Stage-operation throughput of the machine itself (wall
+        // time of the whole pipelined pricing, operations from the
+        // exact events count).
         const int reps = opts.smoke ? 3 : 10;
         const auto t0 = std::chrono::steady_clock::now();
         uint64_t events = 0;

@@ -214,7 +214,7 @@ ViTCoDAccelerator::priceAttentionLayer(
         st.prediction = sim::itemComputeCycles(items.prediction);
 
     // ---- Phase overlap within the layer: the closed-form recurrence
-    // or the event-driven machine, over the same items.
+    // or the finite-FIFO machine, over the same items.
     if (mode == sim::SimMode::Analytic) {
         std::vector<sim::TileCost> tiles;
         tiles.reserve(items.attn.size());

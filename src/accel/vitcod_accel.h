@@ -115,7 +115,7 @@ struct ViTCoDConfig
     /** @} */
 
     /**
-     * Knobs of the event-driven pipelined mode (FIFO depths, chunk
+     * Knobs of the pipelined mode (FIFO depths, chunk
      * granularity, per-stage latency adders; see
      * sim/pipeline_model.h and docs/SIMULATOR.md). Pricing-only:
      * they never change the static schedule, so the DSE explorer
@@ -192,7 +192,7 @@ class ViTCoDAccelerator : public Device
      * are only meaningful for the hardware they were derived for.
      * @param mode Analytic prices with the closed-form
      *   double-buffering recurrence; Pipelined plays the same work
-     *   items through the event-driven stage graph
+     *   items through the finite-FIFO stage graph
      *   (sim/pipeline_model.h), surfacing stall/backpressure cycles
      *   in RunStats::pipeline.
      */

@@ -30,6 +30,11 @@ using PicoJoules = double;
 /** Seconds, for cross-clock-domain comparisons. */
 using Seconds = double;
 
+namespace sim {
+/** Simulation time in accelerator core clock cycles. */
+using Tick = uint64_t;
+} // namespace sim
+
 /** Convert cycles at @p freq_ghz to seconds. */
 constexpr Seconds
 cyclesToSeconds(Cycles cycles, double freq_ghz)

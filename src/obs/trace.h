@@ -55,7 +55,7 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/event_queue.h"
+#include "common/units.h"
 
 namespace vitcod::obs {
 

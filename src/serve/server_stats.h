@@ -30,7 +30,6 @@
 #include "obs/metrics.h"
 #include "serve/admission.h"
 #include "serve/request.h"
-#include "sim/event_queue.h"
 
 namespace vitcod::serve {
 

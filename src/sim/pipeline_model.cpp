@@ -1,12 +1,9 @@
 #include "pipeline_model.h"
 
 #include <algorithm>
-#include <deque>
-#include <optional>
 #include <sstream>
 
 #include "common/logging.h"
-#include "sim/event_queue.h"
 
 namespace vitcod::sim {
 
@@ -105,261 +102,145 @@ PipelineModel::PipelineModel(PipelineConfig cfg, DramConfig dram)
 
 namespace {
 
-/**
- * One group's event-driven execution. The structure mirrors the
- * analytic recurrence's PipelineSim (tile_scheduler.cpp) — in-order
- * units, two-bank structural gates — generalized with finite FIFO
- * capacity, per-stage latency adders and exact busy/stall
- * accounting. Every start time is a max/plus composition of item
- * durations and capacity releases, so completion times are monotone
- * in FIFO depth and DRAM bandwidth and bounded below by the
- * analytic schedule (pinned by tests/sim/test_pipeline_model.cpp).
- */
-class GroupSim
+/** What the recurrence keeps of an earlier item: item i reads only
+ *  items i-1 and i-2, so two of these carry the whole state. */
+struct Retired
 {
-  public:
-    GroupSim(const PipelineConfig &cfg, const DramModel &dram,
-             const std::vector<PipeItem> &items)
-        : cfg_(cfg), n_(items.size())
-    {
-        load_.resize(n_);
-        occ_.resize(n_);
-        denserOcc_.resize(n_);
-        sparserOcc_.resize(n_);
-        store_.resize(n_);
-        loadChunks_.resize(n_);
-        storeChunks_.resize(n_);
-        loadDone_.assign(n_, false);
-        computeDone_.assign(n_, false);
-        storeDone_.assign(n_, false);
-
-        size_t max_chunks_in = 1;
-        size_t max_chunks_out = 1;
-        for (size_t i = 0; i < n_; ++i) {
-            const PipeItem &it = items[i];
-            load_[i] = itemLoadCycles(it, dram);
-            if (it.loadBytes > 0)
-                load_[i] += cfg_.fetchLatency;
-            loadChunks_[i] =
-                ceilDiv(it.loadBytes, cfg_.fifoChunkBytes);
-            max_chunks_in = std::max(max_chunks_in, loadChunks_[i]);
-
-            denserOcc_[i] = it.denserCycles > 0
-                                ? it.denserCycles + cfg_.denserLatency
-                                : 0;
-            sparserOcc_[i] =
-                it.sparserCycles > 0
-                    ? it.sparserCycles + cfg_.sparserLatency
-                    : 0;
-            occ_[i] = std::max({denserOcc_[i], sparserOcc_[i],
-                                it.decodeCycles}) +
-                      it.syncCycles;
-
-            store_[i] = itemStoreCycles(it, dram);
-            if (it.storeBytes > 0)
-                store_[i] += cfg_.writebackLatency;
-            storeChunks_[i] =
-                ceilDiv(it.storeBytes, cfg_.fifoChunkBytes);
-            max_chunks_out =
-                std::max(max_chunks_out, storeChunks_[i]);
-        }
-        // A single item must always fit, else the machine deadlocks;
-        // the clamp keeps shallow depths meaningful (they throttle
-        // cross-item prefetch) without ever wedging.
-        capIn_ = std::max(cfg_.fetchFifoDepth, max_chunks_in);
-        capOut_ = std::max(cfg_.writebackFifoDepth, max_chunks_out);
-    }
-
-    PipelineStats
-    run()
-    {
-        PipelineStats ps;
-        ps.items = n_;
-        if (n_ == 0)
-            return ps;
-        tryFetch();
-        tryCompute();
-        const Tick total = eq_.runUntilEmpty();
-        for (size_t i = 0; i < n_; ++i)
-            VITCOD_ASSERT(storeDone_[i],
-                          "pipeline deadlock: item ", i,
-                          " never retired");
-
-        ps.totalCycles = total;
-        ps.fetch = fetch_;
-        ps.denser = denser_;
-        ps.sparser = sparser_;
-        ps.writeback = writeback_;
-        ps.fetchFifoHighWater = highIn_;
-        ps.writebackFifoHighWater = highOut_;
-        ps.events = eq_.processedCount();
-        for (StageCounters *c :
-             {&ps.fetch, &ps.denser, &ps.sparser, &ps.writeback}) {
-            VITCOD_ASSERT(c->busy + c->stall <= total,
-                          "pipeline stage over-accounted: busy ",
-                          c->busy, " + stall ", c->stall, " > total ",
-                          total);
-            c->idle = total - c->busy - c->stall;
-        }
-        return ps;
-    }
-
-  private:
-    // ---- Fetch: the shared DRAM read port, in order, one item at a
-    // time. Gate: the structural two-bank window (item i waits for
-    // compute i-2) and FIFO space for the whole item.
-    void
-    tryFetch()
-    {
-        bool kicked = false;
-        while (!fetchBusy_ && nextFetch_ < n_) {
-            const size_t i = nextFetch_;
-            if (i >= 2 && !computeDone_[i - 2])
-                break; // both operand banks still claimed
-            if (loadChunks_[i] == 0) {
-                // Nothing to stream: passes the port instantly.
-                loadDone_[i] = true;
-                ++nextFetch_;
-                kicked = true;
-                continue;
-            }
-            if (inUse_ + loadChunks_[i] > capIn_)
-                break; // FIFO backpressure
-            const Tick now = eq_.curTick();
-            fetch_.stall += now - fetchFree_;
-            inUse_ += loadChunks_[i];
-            highIn_ = std::max(highIn_, inUse_);
-            fetchBusy_ = true;
-            ++nextFetch_;
-            eq_.scheduleAfter(load_[i], [this, i] {
-                fetchBusy_ = false;
-                fetch_.busy += load_[i];
-                fetchFree_ = eq_.curTick();
-                loadDone_[i] = true;
-                tryFetch();
-                tryCompute();
-            });
-        }
-        if (kicked)
-            tryCompute();
-    }
-
-    // ---- Compute: the fork-join PE complex, in order. Gates: all
-    // operands resident, the result bank of item i-2 drained.
-    void
-    tryCompute()
-    {
-        if (computeBusy_ || nextCompute_ >= n_)
-            return;
-        const size_t i = nextCompute_;
-        if (!loadDone_[i])
-            return; // starved by fetch
-        if (i >= 2 && !storeDone_[i - 2])
-            return; // both result banks still claimed
-        const Tick now = eq_.curTick();
-        denser_.stall += now - peFree_;
-        sparser_.stall += now - peFree_;
-        // Lane accounting over the occupancy window: each lane is
-        // busy for its own cycles and join-stalled for the rest;
-        // lanes with no work in this item idle through it.
-        if (denserOcc_[i] > 0) {
-            denser_.busy += denserOcc_[i];
-            denser_.stall += occ_[i] - denserOcc_[i];
-        }
-        if (sparserOcc_[i] > 0) {
-            sparser_.busy += sparserOcc_[i];
-            sparser_.stall += occ_[i] - sparserOcc_[i];
-        }
-        computeBusy_ = true;
-        ++nextCompute_;
-        eq_.scheduleAfter(occ_[i], [this, i] {
-            rawEnd_ = eq_.curTick();
-            tryRelease(i);
-        });
-    }
-
-    /** Raw compute end of item @p i: hand the result over to the
-     *  writeback FIFO; the PE is held until it fits. */
-    void
-    tryRelease(size_t i)
-    {
-        if (storeChunks_[i] > 0) {
-            if (outUse_ + storeChunks_[i] > capOut_) {
-                pendingRelease_ = i; // output-blocked: PE held
-                return;
-            }
-            outUse_ += storeChunks_[i];
-            highOut_ = std::max(highOut_, outUse_);
-            wbQueue_.push_back(i);
-        }
-        const Tick now = eq_.curTick();
-        denser_.stall += now - rawEnd_;
-        sparser_.stall += now - rawEnd_;
-        computeBusy_ = false;
-        computeDone_[i] = true;
-        peFree_ = now;
-        inUse_ -= loadChunks_[i]; // operand bank freed
-        if (storeChunks_[i] == 0)
-            storeDone_[i] = true;
-        else
-            tryWriteback();
-        tryFetch();
-        tryCompute();
-    }
-
-    // ---- Writeback: the DRAM write port, draining the result FIFO
-    // in order.
-    void
-    tryWriteback()
-    {
-        if (wbBusy_ || wbQueue_.empty())
-            return;
-        const size_t i = wbQueue_.front();
-        wbQueue_.pop_front();
-        wbBusy_ = true;
-        eq_.scheduleAfter(store_[i], [this, i] {
-            wbBusy_ = false;
-            writeback_.busy += store_[i];
-            outUse_ -= storeChunks_[i];
-            storeDone_[i] = true;
-            if (pendingRelease_) {
-                const size_t p = *pendingRelease_;
-                pendingRelease_.reset();
-                tryRelease(p);
-            }
-            tryCompute();
-            tryWriteback();
-        });
-    }
-
-    const PipelineConfig &cfg_;
-    const size_t n_;
-    EventQueue eq_;
-
-    std::vector<Cycles> load_, occ_, denserOcc_, sparserOcc_, store_;
-    std::vector<size_t> loadChunks_, storeChunks_;
-    std::vector<char> loadDone_, computeDone_, storeDone_;
-
-    size_t capIn_ = 0, capOut_ = 0;
-    size_t inUse_ = 0, outUse_ = 0;
-    size_t highIn_ = 0, highOut_ = 0;
-
-    size_t nextFetch_ = 0, nextCompute_ = 0;
-    bool fetchBusy_ = false, computeBusy_ = false, wbBusy_ = false;
-    Tick fetchFree_ = 0, peFree_ = 0, rawEnd_ = 0;
-    std::optional<size_t> pendingRelease_;
-    std::deque<size_t> wbQueue_;
-
-    StageCounters fetch_, denser_, sparser_, writeback_;
+    Tick fetchEnd = 0;  //!< operands resident (read port freed)
+    Tick release = 0;   //!< PE handed the result on, bank freed
+    Tick storeDone = 0; //!< result bank drained (= release if none)
+    size_t inChunks = 0, outChunks = 0;
 };
+
+/** Charge one lane for an item: join-stalled for the rest of the
+ *  occupancy if it works, stalled through the gap before compute
+ *  and the output hold either way, idle otherwise. */
+void
+chargeLane(StageCounters &lane, Cycles lane_occ, Cycles occ,
+           Cycles blocked)
+{
+    lane.stall += blocked;
+    if (lane_occ > 0) {
+        lane.busy += lane_occ;
+        lane.stall += occ - lane_occ;
+    }
+}
 
 } // namespace
 
 PipelineStats
 PipelineModel::run(const std::vector<PipeItem> &items) const
 {
-    GroupSim sim(cfg_, dram_, items);
-    return sim.run();
+    PipelineStats ps;
+    ps.items = items.size();
+
+    const auto chunks = [&](Bytes b) {
+        return static_cast<size_t>(ceilDiv(b, cfg_.fifoChunkBytes));
+    };
+    // A single item must always fit; the clamp keeps shallow depths
+    // meaningful (they throttle cross-item prefetch) without ever
+    // wedging the machine.
+    size_t cap_in = cfg_.fetchFifoDepth;
+    size_t cap_out = cfg_.writebackFifoDepth;
+    for (const PipeItem &it : items) {
+        cap_in = std::max(cap_in, chunks(it.loadBytes));
+        cap_out = std::max(cap_out, chunks(it.storeBytes));
+    }
+
+    Retired p1, p2; // items i-1 and i-2 (zeroed before the group)
+    Tick fetch_free = 0; // end of the last read-port transfer
+    Tick wb_free = 0;    // end of the last write-port transfer
+    Tick total = 0;
+    for (const PipeItem &it : items) {
+        Retired cur;
+        cur.inChunks = chunks(it.loadBytes);
+        cur.outChunks = chunks(it.storeBytes);
+
+        // Fetch, in order on the read port. Both operand banks stay
+        // claimed until item i-2 releases; the input FIFO holds
+        // items i-1 and i, so a FIFO too small for both also waits
+        // for item i-1. A fetch that starts on the cycle item i-1
+        // releases still counts i-1's chunks resident.
+        Tick fetch_start = std::max(p1.fetchEnd, p2.release);
+        size_t resident = cur.inChunks;
+        if (p1.inChunks + cur.inChunks > cap_in)
+            fetch_start = std::max(fetch_start, p1.release);
+        else if (p1.release >= fetch_start)
+            resident += p1.inChunks;
+        ps.fetchFifoHighWater =
+            std::max(ps.fetchFifoHighWater, resident);
+        Cycles load = itemLoadCycles(it, dram_);
+        if (load > 0) {
+            load += cfg_.fetchLatency;
+            ps.fetch.stall += fetch_start - fetch_free;
+            ps.fetch.busy += load;
+            fetch_free = fetch_start + load;
+            ++ps.events;
+        }
+        cur.fetchEnd = fetch_start + load;
+
+        // Compute: the fork-join PE complex, in order. It starts
+        // once the PE is free, the operands are resident and item
+        // i-2's result bank has drained.
+        const Tick compute_start =
+            std::max({p1.release, cur.fetchEnd, p2.storeDone});
+        const Cycles denser_occ =
+            it.denserCycles > 0 ? it.denserCycles + cfg_.denserLatency
+                                : 0;
+        const Cycles sparser_occ =
+            it.sparserCycles > 0
+                ? it.sparserCycles + cfg_.sparserLatency
+                : 0;
+        const Cycles occ =
+            std::max({denser_occ, sparser_occ, it.decodeCycles}) +
+            it.syncCycles;
+        const Tick raw_end = compute_start + occ;
+        ++ps.events;
+
+        // Release into the output FIFO, which holds the results of
+        // items i-1 and i: when both do not fit, the PE holds the
+        // result until item i-1's writeback drains. A result leaves
+        // the FIFO on the cycle its writeback completes.
+        cur.release = raw_end;
+        if (cur.outChunks > 0) {
+            if (p1.outChunks + cur.outChunks > cap_out)
+                cur.release = std::max(cur.release, p1.storeDone);
+            const size_t out_resident =
+                cur.outChunks +
+                (p1.storeDone > cur.release ? p1.outChunks : 0);
+            ps.writebackFifoHighWater =
+                std::max(ps.writebackFifoHighWater, out_resident);
+        }
+        const Cycles blocked = (compute_start - p1.release) +
+                               (cur.release - raw_end);
+        chargeLane(ps.denser, denser_occ, occ, blocked);
+        chargeLane(ps.sparser, sparser_occ, occ, blocked);
+
+        // Writeback, in order on the write port.
+        cur.storeDone = cur.release;
+        if (cur.outChunks > 0) {
+            const Cycles store =
+                itemStoreCycles(it, dram_) + cfg_.writebackLatency;
+            wb_free = std::max(cur.release, wb_free) + store;
+            ps.writeback.busy += store;
+            cur.storeDone = wb_free;
+            ++ps.events;
+        }
+
+        total = std::max(total, cur.storeDone);
+        p2 = p1;
+        p1 = cur;
+    }
+
+    ps.totalCycles = total;
+    for (StageCounters *c :
+         {&ps.fetch, &ps.denser, &ps.sparser, &ps.writeback}) {
+        VITCOD_ASSERT(c->busy + c->stall <= total,
+                      "pipeline stage over-accounted: busy ", c->busy,
+                      " + stall ", c->stall, " > total ", total);
+        c->idle = total - c->busy - c->stall;
+    }
+    return ps;
 }
 
 } // namespace vitcod::sim

@@ -1,10 +1,10 @@
 /**
  * @file
- * Event-driven pipelined accelerator model (ROADMAP item 4). Where
- * the analytic simulator prices a layer with the closed-form
- * double-buffering recurrence (tile_scheduler.h), this model plays
- * the same work items through an explicit four-stage machine driven
- * by the EventQueue:
+ * Pipelined accelerator model. Where the analytic simulator prices a
+ * layer with the closed-form double-buffering recurrence
+ * (tile_scheduler.h), this model plays the same work items through
+ * an explicit four-stage machine with finite FIFOs, priced by one
+ * max-plus recurrence over the items:
  *
  *     fetch ──> [ denser PE ∥ sparser PE ∥ AE decode ] ──> writeback
  *
@@ -54,7 +54,7 @@ namespace vitcod::sim {
 enum class SimMode
 {
     Analytic,  //!< closed-form double-buffering recurrence
-    Pipelined, //!< event-driven stage graph with backpressure
+    Pipelined, //!< stage graph with finite FIFOs and backpressure
 };
 
 /** Display name of @p mode ("analytic" / "pipelined"). */
@@ -152,7 +152,8 @@ struct PipelineStats
     size_t writebackFifoHighWater = 0; //!< max output chunks resident
 
     uint64_t items = 0;  //!< work items played
-    uint64_t events = 0; //!< EventQueue events processed
+    uint64_t events = 0; //!< stage operations: non-empty fetches
+                         //!< + items + non-empty writebacks
 
     /** Total blocked cycles across all stages. */
     Cycles stallCycles() const
@@ -172,8 +173,8 @@ struct PipelineStats
 /**
  * The pipelined machine. Stateless across runs (const, re-entrant):
  * each run() plays one group of items — a span that drains fully at
- * its boundaries, e.g. one layer's [SDDMM, softmax, SpMM] — on a
- * fresh EventQueue; callers sum group stats with operator+=.
+ * its boundaries, e.g. one layer's [SDDMM, softmax, SpMM] — in one
+ * forward pass; callers sum group stats with operator+=.
  */
 class PipelineModel
 {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace vitcod::sim {
 
 Cycles
@@ -35,110 +33,6 @@ doubleBufferedCycles(const std::vector<TileCost> &tiles)
         store_end[i] = store_start + tiles[i].store;
     }
     return store_end[n - 1];
-}
-
-namespace {
-
-/** Event-driven executor of the same three-unit pipeline. */
-class PipelineSim
-{
-  public:
-    explicit PipelineSim(const std::vector<TileCost> &tiles)
-        : tiles_(tiles), n_(tiles.size()), loadDone_(n_, false),
-          computeDone_(n_, false), storeDone_(n_, false)
-    {}
-
-    Cycles
-    run()
-    {
-        if (n_ == 0)
-            return 0;
-        tryLoad();
-        return eq_.runUntilEmpty();
-    }
-
-  private:
-    void
-    tryLoad()
-    {
-        if (loadBusy_ || nextLoad_ >= n_)
-            return;
-        const size_t i = nextLoad_;
-        if (i >= 2 && !computeDone_[i - 2])
-            return; // both load buffers still claimed
-        loadBusy_ = true;
-        ++nextLoad_;
-        eq_.scheduleAfter(tiles_[i].load, [this, i] {
-            loadBusy_ = false;
-            loadDone_[i] = true;
-            tryLoad();
-            tryCompute();
-        });
-    }
-
-    void
-    tryCompute()
-    {
-        if (computeBusy_ || nextCompute_ >= n_)
-            return;
-        const size_t i = nextCompute_;
-        if (!loadDone_[i])
-            return;
-        if (i >= 2 && !storeDone_[i - 2])
-            return; // both output buffers still claimed
-        computeBusy_ = true;
-        ++nextCompute_;
-        eq_.scheduleAfter(tiles_[i].compute, [this, i] {
-            computeBusy_ = false;
-            computeDone_[i] = true;
-            tryLoad();
-            tryCompute();
-            tryStore();
-        });
-    }
-
-    void
-    tryStore()
-    {
-        if (storeBusy_ || nextStore_ >= n_)
-            return;
-        const size_t i = nextStore_;
-        if (!computeDone_[i])
-            return;
-        storeBusy_ = true;
-        ++nextStore_;
-        eq_.scheduleAfter(tiles_[i].store, [this, i] {
-            storeBusy_ = false;
-            storeDone_[i] = true;
-            tryCompute();
-            tryStore();
-        });
-    }
-
-    EventQueue eq_;
-    const std::vector<TileCost> &tiles_;
-    const size_t n_;
-    std::vector<char> loadDone_, computeDone_, storeDone_;
-    size_t nextLoad_ = 0, nextCompute_ = 0, nextStore_ = 0;
-    bool loadBusy_ = false, computeBusy_ = false, storeBusy_ = false;
-};
-
-} // namespace
-
-Cycles
-doubleBufferedCyclesEventDriven(const std::vector<TileCost> &tiles)
-{
-    PipelineSim sim(tiles);
-    return sim.run();
-}
-
-Cycles
-serialCycles(const std::vector<TileCost> &tiles)
-{
-    Cycles total = 0;
-    for (const auto &t : tiles)
-        total += t.load + t.compute + t.store;
-    return total;
 }
 
 } // namespace vitcod::sim

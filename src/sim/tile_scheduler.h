@@ -4,10 +4,10 @@
  * tiles, each with a load phase (DRAM -> SRAM), a compute phase and
  * a store phase (SRAM -> DRAM). With double buffering, tile i+1's
  * load overlaps tile i's compute and tile i-1's store drains behind
- * both; steady-state cost per tile is the max of the three. Both an
- * analytic evaluation and an event-queue simulation are provided;
- * tests assert they agree, which keeps the cheaper analytic form
- * honest.
+ * both; steady-state cost per tile is the max of the three. This
+ * closed form is the analytic pricer, and the independent reference
+ * the pipelined machine (pipeline_model.h) must reproduce exactly
+ * whenever its FIFOs and stage latencies cannot stall it.
  */
 
 #ifndef VITCOD_SIM_TILE_SCHEDULER_H
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "sim/event_queue.h"
 
 namespace vitcod::sim {
 
@@ -35,17 +34,6 @@ struct TileCost
  * Single-phase degenerate cases fall out naturally.
  */
 Cycles doubleBufferedCycles(const std::vector<TileCost> &tiles);
-
-/**
- * The same schedule executed on the event queue with three
- * resources (load unit, compute unit, store unit) and dependencies
- * load(i) -> compute(i) -> store(i); double buffering allows
- * load(i+1) to start as soon as the load unit frees.
- */
-Cycles doubleBufferedCyclesEventDriven(const std::vector<TileCost> &tiles);
-
-/** Serial (no-overlap) total, for the ablation of double buffering. */
-Cycles serialCycles(const std::vector<TileCost> &tiles);
 
 } // namespace vitcod::sim
 

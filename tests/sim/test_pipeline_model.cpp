@@ -1,7 +1,7 @@
 /**
  * @file
- * Differential validation of the event-driven pipelined model
- * against the analytic simulator (docs/SIMULATOR.md):
+ * Differential validation of the pipelined model against the
+ * analytic simulator (docs/SIMULATOR.md):
  *
  *  - Stall-free configs (deep FIFOs, zero latency adders) price
  *    cycle-exactly equal to the analytic recurrence, across
@@ -13,8 +13,10 @@
  *    analytic count is a lower bound on every config.
  *  - A seeded ~200-sample property sweep over random (FIFO depth,
  *    chunk size, stage latency, bandwidth) configs pins determinism
- *    and termination (a deadlocked machine dies on an internal
- *    retirement assert).
+ *    and the analytic lower bound.
+ *  - Seeded synthetic groups (zero-length phases, gather-only items)
+ *    price exactly like doubleBufferedCycles() on deep FIFOs, and
+ *    keep their accounting invariants on shallow ones.
  *  - A golden per-stage stall breakdown of the pinned DeiT-Tiny@90%
  *    schedule under a constrained config, with the established
  *    --update-goldens flow:
@@ -24,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -295,9 +298,8 @@ TEST(PipelineModel, LayerStatsCarryPipelineBreakdown)
 TEST(PipelineModel, RandomConfigPropertySweep)
 {
     // ~200 random machines over one pinned schedule. Per sample:
-    // termination (a wedged machine aborts on the internal
-    // retirement assert), bitwise determinism across re-runs,
-    // per-stage conservation, and the analytic lower bound.
+    // bitwise determinism across re-runs, per-stage conservation,
+    // and the analytic lower bound.
     Rng rng(0x91e5'11fe'5eedULL);
     const ViTCoDConfig ref;
     const auto plan = planFor(model::deitTiny(), 0.9, true);
@@ -332,6 +334,151 @@ TEST(PipelineModel, RandomConfigPropertySweep)
             << ": pipelined beat the analytic lower bound";
         expectConserved(p1.pipeline);
     }
+}
+
+/** A seeded group of 1-40 items. Each item streams, gathers, does
+ *  both or neither; every other phase is zero one time in four. */
+std::vector<sim::PipeItem>
+syntheticGroup(Rng &rng)
+{
+    const auto maybe = [&](uint64_t n) {
+        return rng.uniformInt(4) == 0 ? 0 : rng.uniformInt(n);
+    };
+    std::vector<sim::PipeItem> items(1 + rng.uniformInt(40));
+    for (sim::PipeItem &it : items) {
+        const uint64_t kind = rng.uniformInt(4);
+        if (kind & 1)
+            it.loadBytes = 1 + rng.uniformInt(16384);
+        if (kind & 2) {
+            it.gatherCount = 1 + rng.uniformInt(64);
+            it.gatherGrainBytes = 1 + rng.uniformInt(256);
+        }
+        it.denserCycles = maybe(200);
+        it.sparserCycles = maybe(200);
+        it.decodeCycles = maybe(100);
+        it.syncCycles = maybe(20);
+        it.storeBytes = maybe(8192);
+    }
+    return items;
+}
+
+TEST(PipelineModel, SyntheticGroupsStallFreeAndConserved)
+{
+    Rng rng(0x5e1f'9a7e'd00dULL);
+    const Bytes chunks[] = {512, 1024, 4096};
+    for (int sample = 0; sample < 2000; ++sample) {
+        sim::DramConfig dram;
+        dram.bandwidthGBps = rng.uniformInt(2) ? 76.8 : 12.8;
+        const sim::DramModel dm(dram);
+        const auto items = syntheticGroup(rng);
+        std::vector<sim::TileCost> tiles;
+        for (const sim::PipeItem &it : items)
+            tiles.push_back(sim::analyticTile(it, dm));
+        const Cycles analytic = sim::doubleBufferedCycles(tiles);
+
+        // Deep FIFOs, zero stage latencies: exactly the closed form.
+        const sim::PipelineStats deep =
+            sim::PipelineModel(deepConfig(), dram).run(items);
+        ASSERT_EQ(deep.totalCycles, analytic) << "sample " << sample;
+
+        // Shallow FIFOs and stage latencies on the same group.
+        sim::PipelineConfig pc;
+        pc.fetchFifoDepth = 1 + rng.uniformInt(8);
+        pc.writebackFifoDepth = 1 + rng.uniformInt(8);
+        pc.fifoChunkBytes = chunks[rng.uniformInt(3)];
+        pc.fetchLatency = rng.uniformInt(9);
+        pc.denserLatency = rng.uniformInt(9);
+        pc.sparserLatency = rng.uniformInt(9);
+        pc.writebackLatency = rng.uniformInt(9);
+        const sim::PipelineStats ps =
+            sim::PipelineModel(pc, dram).run(items);
+
+        uint64_t events = items.size();
+        size_t cap_in = pc.fetchFifoDepth;
+        size_t cap_out = pc.writebackFifoDepth;
+        for (const sim::PipeItem &it : items) {
+            events += (sim::itemLoadCycles(it, dm) > 0) +
+                      (it.storeBytes > 0);
+            cap_in = std::max<size_t>(
+                cap_in, ceilDiv(it.loadBytes, pc.fifoChunkBytes));
+            cap_out = std::max<size_t>(
+                cap_out, ceilDiv(it.storeBytes, pc.fifoChunkBytes));
+        }
+        SCOPED_TRACE("sample " + std::to_string(sample));
+        expectConserved(ps);
+        EXPECT_EQ(ps.items, items.size());
+        EXPECT_EQ(ps.events, events);
+        EXPECT_LE(ps.fetchFifoHighWater, cap_in);
+        EXPECT_LE(ps.writebackFifoHighWater, cap_out);
+        EXPECT_EQ(ps.writeback.stall, 0u);
+        EXPECT_GE(ps.totalCycles, analytic);
+    }
+}
+
+TEST(PipelineModel, ShallowFifosHoldFetchAndRelease)
+{
+    // Three items, each 2 operand chunks (27 cycles to load), 10
+    // denser cycles and 8 result chunks (107 cycles to store). With
+    // 2 input and 8 output chunks only one item fits in each FIFO:
+    // fetch i waits for item i-1's release (37, 144), and release
+    // i waits for item i-1's writeback (144, 251). Priced by hand.
+    sim::PipeItem it;
+    it.loadBytes = 4_KiB;
+    it.denserCycles = 10;
+    it.storeBytes = 16_KiB;
+    const std::vector<sim::PipeItem> items(3, it);
+
+    sim::PipelineConfig pc;
+    pc.fetchFifoDepth = 2;
+    pc.writebackFifoDepth = 8;
+    pc.fifoChunkBytes = 2_KiB;
+    sim::PipelineStats want;
+    want.totalCycles = 358;
+    want.fetch = {.busy = 81, .stall = 10 + 80, .idle = 187};
+    want.denser = {.busy = 30, .stall = 27 + 97 + 97, .idle = 107};
+    want.sparser = {.busy = 0, .stall = 221, .idle = 137};
+    want.writeback = {.busy = 321, .stall = 0, .idle = 37};
+    want.fetchFifoHighWater = 2;
+    want.writebackFifoHighWater = 8;
+    want.items = 3;
+    want.events = 9;
+    EXPECT_EQ(sim::PipelineModel(pc).run(items).str(), want.str());
+
+    // Deep FIFOs: the write port still bounds the group, but both
+    // FIFOs now hold two items' chunks at once.
+    pc.fetchFifoDepth = pc.writebackFifoDepth = 64;
+    const sim::PipelineStats deep = sim::PipelineModel(pc).run(items);
+    EXPECT_EQ(deep.totalCycles, 358u);
+    EXPECT_EQ(deep.fetchFifoHighWater, 4u);
+    EXPECT_EQ(deep.writebackFifoHighWater, 16u);
+    EXPECT_EQ(deep.fetch.stall, 0u);
+}
+
+TEST(PipelineModel, GatherOnlyItemPaysItsGatherCycles)
+{
+    // An item that only gathers holds no FIFO chunks but still keeps
+    // the read port busy for its gather cycles, as analytic pricing
+    // charges them: 64 gathers of 128 B take 126 cycles on the
+    // default DRAM, ahead of the 4 KiB stream of the second item.
+    sim::PipeItem gather;
+    gather.gatherCount = 64;
+    gather.gatherGrainBytes = 128;
+    gather.sparserCycles = 10;
+    sim::PipeItem dense;
+    dense.loadBytes = 4_KiB;
+    dense.denserCycles = 50;
+    dense.storeBytes = 1_KiB;
+    const std::vector<sim::PipeItem> items = {gather, dense};
+
+    const sim::DramModel dm{sim::DramConfig{}};
+    const Cycles analytic = sim::doubleBufferedCycles(
+        {sim::analyticTile(gather, dm), sim::analyticTile(dense, dm)});
+    EXPECT_EQ(analytic, 210u);
+    const sim::PipelineStats ps =
+        sim::PipelineModel(deepConfig()).run(items);
+    EXPECT_EQ(ps.totalCycles, analytic);
+    EXPECT_EQ(ps.fetch.busy, 126u + 27u);
+    EXPECT_EQ(ps.events, 5u);
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests of the double-buffered tile schedule, including the
- * agreement property between the analytic recurrence and the
- * event-driven execution — the check that keeps the cheap form
- * honest.
+ * Tests of the double-buffered tile schedule's closed form. Its
+ * agreement with the pipelined machine on stall-free synthetic groups
+ * is checked in test_pipeline_model.cpp.
  */
 
 #include <gtest/gtest.h>
@@ -14,18 +13,26 @@
 namespace vitcod::sim {
 namespace {
 
+/** Serial (no-overlap) total: the ablation of double buffering. */
+Cycles
+serialSum(const std::vector<TileCost> &tiles)
+{
+    Cycles total = 0;
+    for (const auto &t : tiles)
+        total += t.load + t.compute + t.store;
+    return total;
+}
+
 TEST(TileScheduler, EmptyIsZero)
 {
     EXPECT_EQ(doubleBufferedCycles({}), 0u);
-    EXPECT_EQ(doubleBufferedCyclesEventDriven({}), 0u);
-    EXPECT_EQ(serialCycles({}), 0u);
 }
 
 TEST(TileScheduler, SingleTileIsSerial)
 {
     const std::vector<TileCost> t = {{10, 20, 5}};
     EXPECT_EQ(doubleBufferedCycles(t), 35u);
-    EXPECT_EQ(serialCycles(t), 35u);
+    EXPECT_EQ(serialSum(t), 35u);
 }
 
 TEST(TileScheduler, ComputeBoundSteadyState)
@@ -52,7 +59,7 @@ TEST(TileScheduler, OverlapNeverWorseThanSerial)
             tc.compute = rng.uniformInt(30);
             tc.store = rng.uniformInt(30);
         }
-        EXPECT_LE(doubleBufferedCycles(t), serialCycles(t));
+        EXPECT_LE(doubleBufferedCycles(t), serialSum(t));
     }
 }
 
@@ -77,27 +84,10 @@ TEST(TileScheduler, LowerBoundIsEachResourceSum)
     }
 }
 
-TEST(TileScheduler, AnalyticMatchesEventDrivenRandomized)
-{
-    Rng rng(3);
-    for (int trial = 0; trial < 200; ++trial) {
-        std::vector<TileCost> t(1 + rng.uniformInt(12));
-        for (auto &tc : t) {
-            tc.load = rng.uniformInt(50);
-            tc.compute = rng.uniformInt(50);
-            tc.store = rng.uniformInt(50);
-        }
-        EXPECT_EQ(doubleBufferedCycles(t),
-                  doubleBufferedCyclesEventDriven(t))
-            << "trial " << trial;
-    }
-}
-
 TEST(TileScheduler, ZeroPhasesDegenerate)
 {
     const std::vector<TileCost> t = {{0, 10, 0}, {0, 20, 0}};
     EXPECT_EQ(doubleBufferedCycles(t), 30u);
-    EXPECT_EQ(doubleBufferedCyclesEventDriven(t), 30u);
 }
 
 TEST(TileScheduler, StoreDrainCounted)
