@@ -287,9 +287,7 @@ main(int argc, char **argv)
         // ModelExecutor request path: the rows measure the kernels,
         // not the allocator or a per-call mask scan.
         const linalg::engine::MaskLayout layout =
-            linalg::engine::buildMaskLayout(
-                mask,
-                linalg::engine::EngineConfig{}.cscSparsityThreshold);
+            linalg::engine::buildMaskLayout(mask);
         linalg::Matrix attn_out;
         emitGroup("sparse_attn", n, d, sp, mask.nnz(), true, flops,
                   ref_ms, [&](const KernelEngine &eng) {

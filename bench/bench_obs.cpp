@@ -146,8 +146,7 @@ main(int argc, char **argv)
     // Built once, as bench_engine does: the timed call is the
     // kernel, not a per-call mask scan.
     const linalg::engine::MaskLayout layout =
-        linalg::engine::buildMaskLayout(
-            mask, eng.config().cscSparsityThreshold);
+        linalg::engine::buildMaskLayout(mask);
     linalg::Matrix out;
 
     double guard = 0.0;

@@ -186,12 +186,6 @@ ViTCoDAccelerator::ViTCoDAccelerator(ViTCoDConfig cfg)
                   "AE lines must leave MAC lines for the engines");
 }
 
-uint64_t
-ViTCoDAccelerator::lruQMisses(const sparse::Csc &csc, size_t window_rows)
-{
-    return core::schedule::lruQMisses(csc, window_rows);
-}
-
 LayerAttentionStats
 ViTCoDAccelerator::priceAttentionLayer(
     const core::schedule::LayerSchedule &ls, sim::SimMode mode) const

@@ -210,15 +210,6 @@ class ViTCoDAccelerator : public Device
         const core::schedule::LayerSchedule &ls,
         sim::SimMode mode = sim::SimMode::Analytic) const;
 
-    /**
-     * Exact LRU simulation of sparser-engine Q-row residency over a
-     * CSC nonzero stream: returns the number of DRAM gathers needed
-     * with an on-chip window of @p window_rows Q rows. Forwarded
-     * from core::schedule for API compatibility.
-     */
-    static uint64_t lruQMisses(const sparse::Csc &csc,
-                               size_t window_rows);
-
   private:
     /** Price a whole schedule into RunStats. */
     RunStats finalize(const core::schedule::ModelSchedule &sched,

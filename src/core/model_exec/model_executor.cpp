@@ -168,18 +168,6 @@ ModelExecutor::ModelExecutor(const core::ModelPlan *plan,
 }
 
 void
-ModelExecutor::layerNormInto(const linalg::Matrix &x,
-                             const std::vector<float> &gamma,
-                             const std::vector<float> &beta,
-                             linalg::Matrix &out) const
-{
-    // One shared definition with ReferenceBlock, so the
-    // differential test compares attention/MLP numerics rather
-    // than two LayerNorm copies.
-    linalg::layerNormRowsInto(x, gamma, beta, out);
-}
-
-void
 ModelExecutor::runLayer(size_t layer, LayerTrace *lt)
 {
     const model::StageConfig &s = plan_->model.stageForLayer(layer);
@@ -203,7 +191,7 @@ ModelExecutor::runLayer(size_t layer, LayerTrace *lt)
     // callee reshapes (and zeroes) them itself, so pre-shaping here
     // would just clear the buffer twice.
     linalg::Matrix &norm = arena_.at(Slot::kNorm);
-    layerNormInto(x, w.ln1Gamma, w.ln1Beta, norm);
+    linalg::layerNormRowsInto(x, w.ln1Gamma, w.ln1Beta, norm);
 
     {
         PhaseTimer phase("qkv", lt ? &lt->qkvSeconds : nullptr,
@@ -293,7 +281,7 @@ ModelExecutor::runLayer(size_t layer, LayerTrace *lt)
     {
         PhaseTimer phase("mlp", lt ? &lt->mlpSeconds : nullptr,
                          "layer", double(layer));
-        layerNormInto(x, w.ln2Gamma, w.ln2Beta, norm);
+        linalg::layerNormRowsInto(x, w.ln2Gamma, w.ln2Beta, norm);
         linalg::Matrix &hidden = arena_.at(Slot::kHidden);
         engine_->gemmInto(norm, w.fc1, hidden,
                           linalg::engine::Epilogue::Gelu);
@@ -345,8 +333,8 @@ ModelExecutor::classify()
     const size_t d = plan_->model.stages.back().embedDim;
     linalg::Matrix &x = arena_.residual();
     linalg::Matrix &norm = arena_.at(Slot::kNorm);
-    layerNormInto(x, weights_.lnFinalGamma, weights_.lnFinalBeta,
-                  norm);
+    linalg::layerNormRowsInto(x, weights_.lnFinalGamma,
+                              weights_.lnFinalBeta, norm);
     linalg::Matrix &pooled = arena_.atOverwrite(Slot::kPooled, 1, d);
     const auto inv =
         static_cast<float>(1.0 / static_cast<double>(norm.rows()));

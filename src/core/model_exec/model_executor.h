@@ -121,12 +121,6 @@ class ModelExecutor
     /** Final LN + mean pool + classifier; result in kLogits. */
     void classify();
 
-    /** LayerNorm of @p x into @p out (row-wise, eps 1e-6). */
-    void layerNormInto(const linalg::Matrix &x,
-                       const std::vector<float> &gamma,
-                       const std::vector<float> &beta,
-                       linalg::Matrix &out) const;
-
     /** Skeleton of forward(); shared by the batch path. */
     void forwardInto(const linalg::Matrix &patches, ExecTrace *trace);
 

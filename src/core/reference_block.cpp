@@ -81,8 +81,8 @@ ReferenceBlock::attentionDense(const linalg::Matrix &x) const
 
     linalg::Matrix concat(n, h * dk);
     for (size_t head = 0; head < h; ++head) {
-        linalg::Matrix s = engine_->gemmTransB(headSlice(q, head),
-                                               headSlice(k, head));
+        linalg::Matrix s = linalg::gemmTransB(headSlice(q, head),
+                                              headSlice(k, head));
         linalg::scaleInPlace(s, scale);
         const linalg::Matrix out = engine_->gemm(
             linalg::softmaxRows(s), headSlice(v, head));

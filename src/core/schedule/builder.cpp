@@ -81,8 +81,7 @@ ScheduleBuilder::buildAttentionLayer(const core::ModelPlan &plan,
             hs.idxBytes = p->sparserCsc.indexBytes(hw.indexBytes);
 
         if (cfg_.buildLayouts) {
-            hs.layout = linalg::engine::buildMaskLayout(
-                p->mask, cfg_.cscSparsityThreshold);
+            hs.layout = linalg::engine::buildMaskLayout(p->mask);
             VITCOD_ASSERT(
                 hs.layout.colIdx.size() == hs.maskNnz(),
                 "denser/sparser split must partition the mask");

@@ -7,7 +7,10 @@
  * count, SRAM spill plan, per-phase DRAM streams, runtime mask
  * layouts and exact MAC counts — into a ModelSchedule. The
  * instruction compiler, the analytic simulator and the ModelExecutor
- * all consume the result instead of re-deriving it.
+ * all consume the result instead of re-deriving it. Head layouts
+ * come from linalg::engine::buildMaskLayout at its one CSR/CSC rule
+ * (kCscSparsityThreshold), so they equal the layout
+ * KernelEngine::sparseAttention builds per call.
  */
 
 #ifndef VITCOD_CORE_SCHEDULE_BUILDER_H
@@ -15,7 +18,6 @@
 
 #include "core/pipeline.h"
 #include "core/schedule/schedule.h"
-#include "linalg/engine/engine.h"
 
 namespace vitcod::core::schedule {
 
@@ -23,16 +25,6 @@ namespace vitcod::core::schedule {
 struct BuilderConfig
 {
     HardwareParams hw;
-
-    /**
-     * Mask sparsity at or above which the runtime layout carries the
-     * K-stationary CSC traversal in addition to CSR. Defaults to
-     * the engine's own dispatch threshold (the one source of the
-     * constant), so a schedule's layouts equal the ones
-     * KernelEngine::sparseAttention builds per call.
-     */
-    double cscSparsityThreshold =
-        linalg::engine::EngineConfig{}.cscSparsityThreshold;
 
     /**
      * Materialize the runtime CSR/CSC head layouts (an O(mask bits)

@@ -28,6 +28,9 @@ enum Counter : size_t
     kIsaFirst,
 };
 
+/** Auto tier: below this many MACs, the scalar reference runs. */
+constexpr size_t kMinOptimizedMacs = 2048;
+
 /** Name of the KernelVariant a reference dispatch executes. */
 const char *
 referenceVariantName()
@@ -53,12 +56,10 @@ buildMaskLayout(const sparse::BitMask &mask, double cscSparsityThreshold)
 }
 
 KernelEngine::KernelEngine(EngineConfig cfg, ThreadPool *pool)
-    : cfg_(cfg), pool_(pool)
+    : cfg_(cfg), pool_(pool),
+      kernels_(isa::isaKernelTable(isa::resolveIsa(
+          cfg_.isa, isa::hostCpuFeatures(), std::getenv("VITCOD_ISA"))))
 {
-    const IsaLevel resolved = isa::resolveIsa(
-        cfg_.isa, isa::hostCpuFeatures(), std::getenv("VITCOD_ISA"));
-    kernels_.store(isa::isaKernelTable(resolved),
-                   std::memory_order_relaxed);
     for (auto &c : counters_)
         c.store(0, std::memory_order_relaxed);
 }
@@ -74,23 +75,7 @@ KernelEngine::variant() const
 IsaLevel
 KernelEngine::isaLevel() const
 {
-    return kernels_.load(std::memory_order_relaxed)->level;
-}
-
-IsaLevel
-KernelEngine::forceIsa(IsaLevel level)
-{
-    const IsaLevel applied =
-        isa::resolveIsa(level, isa::hostCpuFeatures(), nullptr);
-    kernels_.store(isa::isaKernelTable(applied),
-                   std::memory_order_relaxed);
-    return applied;
-}
-
-const isa::IsaKernelTable &
-KernelEngine::kernels() const
-{
-    return *kernels_.load(std::memory_order_relaxed);
+    return kernels_->level;
 }
 
 void
@@ -103,15 +88,8 @@ KernelEngine::noteIsaLaunch(IsaLevel level) const
 const isa::IsaKernelTable &
 KernelEngine::kernelsForLaunch() const
 {
-    const isa::IsaKernelTable &kt = kernels();
-    noteIsaLaunch(kt.level);
-    return kt;
-}
-
-size_t
-KernelEngine::threads() const
-{
-    return pool_ ? std::max<size_t>(1, pool_->threads()) : 1;
+    noteIsaLaunch(kernels_->level);
+    return *kernels_;
 }
 
 bool
@@ -119,7 +97,7 @@ KernelEngine::useOptimized(size_t macs) const
 {
     if (cfg_.tier)
         return *cfg_.tier == KernelTier::Optimized;
-    return macs >= cfg_.minOptimizedMacs;
+    return macs >= kMinOptimizedMacs;
 }
 
 bool
@@ -174,32 +152,6 @@ KernelEngine::gemmInto(const Matrix &a, const Matrix &b, Matrix &c,
 }
 
 void
-KernelEngine::gemmTransBInto(const Matrix &a, const Matrix &b,
-                             Matrix &c) const
-{
-    const size_t macs = a.rows() * a.cols() * b.rows();
-    obs::SpanGuard span("gemm_tb", "engine", "m", double(a.rows()),
-                        "macs", double(macs));
-    if (!useOptimized(macs)) {
-        counters_[kGemmRef].fetch_add(1, std::memory_order_relaxed);
-        span.argStr("variant", referenceVariantName());
-        // Copy-assign (not move): reuses @p c's capacity.
-        const Matrix ref = linalg::gemmTransB(a, b);
-        c = ref;
-        return;
-    }
-    VITCOD_ASSERT(a.cols() == b.cols(), "gemmTransB shape mismatch");
-    counters_[kGemmOpt].fetch_add(1, std::memory_order_relaxed);
-    const isa::IsaKernelTable &kt = kernelsForLaunch();
-    span.argStr("variant",
-                variantName({KernelTier::Optimized, kt.level}));
-    c.resize(a.rows(), b.rows());
-    forPanels(a.rows(), macs, [&](size_t r0, size_t r1) {
-        kt.gemmTransBPanel(a, b, c, r0, r1);
-    });
-}
-
-void
 KernelEngine::sddmmInto(const Matrix &q, const Matrix &k,
                         const MaskLayoutView &layout, float scale,
                         std::vector<float> &values) const
@@ -243,70 +195,6 @@ KernelEngine::sddmmInto(const Matrix &q, const Matrix &k,
     }
 }
 
-sparse::Csr
-KernelEngine::sddmm(const Matrix &q, const Matrix &k,
-                    const sparse::BitMask &mask, float scale) const
-{
-    // Dense upper bound for dispatch; avoids an extra mask scan.
-    if (!useOptimized(mask.rows() * mask.cols() * q.cols())) {
-        counters_[kSddmmRef].fetch_add(1, std::memory_order_relaxed);
-        return linalg::sddmm(q, k, mask, scale);
-    }
-    MaskLayout layout = buildMaskLayout(mask, cfg_.cscSparsityThreshold);
-    std::vector<float> values;
-    sddmmInto(q, k, layout.view(mask.rows(), mask.cols()), scale, values);
-    return sparse::Csr::fromParts(mask.rows(), mask.cols(),
-                                  std::move(layout.rowPtr),
-                                  std::move(layout.colIdx),
-                                  std::move(values));
-}
-
-sparse::Csr
-KernelEngine::maskedSoftmaxRows(sparse::Csr s) const
-{
-    obs::SpanGuard span("softmax", "engine", "nnz", double(s.nnz()),
-                        "rows", double(s.rows()));
-    if (!useOptimized(s.nnz())) {
-        counters_[kSoftmaxRef].fetch_add(1, std::memory_order_relaxed);
-        span.argStr("variant", referenceVariantName());
-        return linalg::maskedSoftmaxRows(s);
-    }
-    counters_[kSoftmaxOpt].fetch_add(1, std::memory_order_relaxed);
-    const isa::IsaKernelTable &kt = kernelsForLaunch();
-    span.argStr("variant",
-                variantName({KernelTier::Optimized, kt.level}));
-    const auto &row_ptr = s.rowPtr();
-    float *values = s.mutableValues().data();
-    forPanels(s.rows(), s.nnz(), [&](size_t r0, size_t r1) {
-        kt.softmaxCsrPanel(row_ptr, values, r0, r1);
-    });
-    return s;
-}
-
-Matrix
-KernelEngine::spmm(const sparse::Csr &s, const Matrix &v) const
-{
-    const size_t macs = s.nnz() * v.cols();
-    obs::SpanGuard span("spmm", "engine", "nnz", double(s.nnz()),
-                        "macs", double(macs));
-    if (!useOptimized(macs)) {
-        counters_[kSpmmRef].fetch_add(1, std::memory_order_relaxed);
-        span.argStr("variant", referenceVariantName());
-        return linalg::spmm(s, v);
-    }
-    VITCOD_ASSERT(s.cols() == v.rows(), "spmm shape mismatch");
-    counters_[kSpmmOpt].fetch_add(1, std::memory_order_relaxed);
-    const isa::IsaKernelTable &kt = kernelsForLaunch();
-    span.argStr("variant",
-                variantName({KernelTier::Optimized, kt.level}));
-    Matrix out(s.rows(), v.cols());
-    forPanels(s.rows(), macs, [&](size_t r0, size_t r1) {
-        kt.spmmPanel(s.rowPtr(), s.colIdx(), s.values().data(), v, out,
-                     r0, r1);
-    });
-    return out;
-}
-
 void
 KernelEngine::sparseAttentionInto(const Matrix &q, const Matrix &k,
                                   const Matrix &v,
@@ -314,8 +202,8 @@ KernelEngine::sparseAttentionInto(const Matrix &q, const Matrix &k,
                                   const MaskLayoutView &layout,
                                   float scale, Matrix &out) const
 {
-    // Dense upper bound for dispatch (as in sddmm()): the tier
-    // choice depends on the shape alone, never on the layout.
+    // Dense upper bound for dispatch: the tier choice depends on
+    // the shape alone, never on the layout.
     const size_t macs_bound = mask.rows() * mask.cols() * q.cols();
     if (!useOptimized(macs_bound)) {
         counters_[kSddmmRef].fetch_add(1, std::memory_order_relaxed);
@@ -335,7 +223,7 @@ KernelEngine::sparseAttentionInto(const Matrix &q, const Matrix &k,
                   "layout does not describe this mask");
     // Fused: values flow through SDDMM -> softmax -> SpMM in place —
     // no Csr materialization, no revalidation between stages.
-    const isa::IsaKernelTable &kt = kernels();
+    const isa::IsaKernelTable &kt = *kernels_;
     obs::SpanGuard span("sparse_attention", "engine", "nnz",
                         double(layout.colIdx->size()), "rows",
                         double(layout.rows));
@@ -409,13 +297,6 @@ KernelEngine::stats() const
     for (const DispatchStatsField &f : dispatchStatsFields())
         st.*f.member = counters_[i++].load(std::memory_order_relaxed);
     return st;
-}
-
-void
-KernelEngine::resetStats() const
-{
-    for (auto &c : counters_)
-        c.store(0, std::memory_order_relaxed);
 }
 
 const KernelEngine &

@@ -1,27 +1,28 @@
 /**
  * @file
- * KernelEngine: the dispatch layer between callers (reference block,
- * serving backends, benches) and kernel implementations. Dispatch is
- * two-level (see variant.h):
+ * KernelEngine: the dispatch layer between callers (model executor,
+ * serving backends, benches) and kernel implementations. It has two
+ * entry points, one GEMM (gemmInto) and one fused sparse attention
+ * (sparseAttentionInto: SDDMM -> softmax -> SpMM over a prebuilt
+ * MaskLayout). Dispatch is two-level (see variant.h):
  *
  *  - **Tier** — per call it chooses the scalar golden kernels
  *    (src/linalg/{kernels,sparse_kernels}) for tiny shapes or when
  *    pinned to KernelTier::Reference (the oracle stays the oracle),
  *    or the optimized panels: register-blocked GEMM, row-stationary
- *    CSR SDDMM for moderate sparsity, the K-stationary CSC walk
- *    above cscSparsityThreshold (mirroring the accelerator's denser
- *    / sparser split), and a ThreadPool parallel-for over row panels
- *    when the work amortizes the fork.
+ *    CSR SDDMM, or the K-stationary CSC walk when the layout carries
+ *    one (buildMaskLayout, above kCscSparsityThreshold — mirroring
+ *    the accelerator's denser / sparser split), and a ThreadPool
+ *    parallel-for over row panels when the work amortizes the fork.
  *  - **ISA** — the optimized panels themselves are dispatched through
  *    a per-ISA kernel table (isa/isa.h) resolved once at engine
  *    construction: EngineConfig::isa, else `VITCOD_ISA`, else the
- *    highest level CPUID proves the host supports. forceIsa()
- *    re-targets a live engine.
+ *    highest level CPUID proves the host supports.
  *
  * Dispatch decisions are counted (DispatchStats, including which ISA
  * ran) so tests and benches can assert which path actually executed.
  * Engines are safe to share across threads: all methods are const
- * apart from atomic counters and forceIsa()'s atomic table swap.
+ * apart from the atomic counters.
  */
 
 #ifndef VITCOD_LINALG_ENGINE_ENGINE_H
@@ -45,9 +46,9 @@ namespace vitcod::linalg::engine {
 struct EngineConfig
 {
     /**
-     * Algorithm tier pin. Unset = Auto: per call, shapes below
-     * minOptimizedMacs run the scalar reference, everything else the
-     * optimized panels.
+     * Algorithm tier pin. Unset = Auto: per call, shapes below 2048
+     * MACs run the scalar reference, everything else the optimized
+     * panels.
      */
     std::optional<KernelTier> tier;
 
@@ -63,18 +64,15 @@ struct EngineConfig
     /** Rows per parallel panel. */
     size_t rowPanel = 16;
 
-    /** Auto tier: below this many MACs, the scalar reference runs. */
-    size_t minOptimizedMacs = 2048;
-
     /** Auto mode: below this many MACs a single thread runs. */
     size_t minParallelMacs = 1u << 16;
-
-    /**
-     * Mask sparsity at or above which SDDMM switches to the
-     * K-stationary CSC traversal (the sparser-engine order).
-     */
-    double cscSparsityThreshold = 0.95;
 };
+
+/**
+ * Mask sparsity above which a MaskLayout carries the K-stationary
+ * CSC traversal for the SDDMM (the sparser-engine order).
+ */
+inline constexpr double kCscSparsityThreshold = 0.95;
 
 /** Cumulative dispatch counters (one engine instance). */
 struct DispatchStats
@@ -164,10 +162,12 @@ struct MaskLayout
 /**
  * The one mask -> layout compression: one O(rows*cols) mask scan to
  * CSR, plus the O(nnz) CSC transpose exactly when nnz <
- * (1 - @p cscSparsityThreshold) * rows * cols.
+ * (1 - @p cscSparsityThreshold) * rows * cols. Every production
+ * caller takes the default; tests pass 0 / 2 to force either walk.
  */
-MaskLayout buildMaskLayout(const sparse::BitMask &mask,
-                           double cscSparsityThreshold);
+MaskLayout
+buildMaskLayout(const sparse::BitMask &mask,
+                double cscSparsityThreshold = kCscSparsityThreshold);
 
 /** Shape/sparsity/ISA-dispatching kernel executor. */
 class KernelEngine
@@ -198,17 +198,6 @@ class KernelEngine
     IsaLevel isaLevel() const;
 
     /**
-     * Re-target the optimized panels to @p level, clamped down to
-     * the best compiled-and-supported level at or below it. Returns
-     * the level actually applied. Thread-safe (atomic table swap);
-     * in-flight calls finish on the table they loaded.
-     */
-    IsaLevel forceIsa(IsaLevel level);
-
-    /** Worker threads available to parallel-for (1 = serial). */
-    size_t threads() const;
-
-    /**
      * C = ep(A * B) into a caller-owned buffer: @p c is reshaped (its
      * capacity is reused, so steady-state callers never allocate —
      * the ModelExecutor's BufferArena path). Epilogue::Gelu fuses
@@ -217,21 +206,6 @@ class KernelEngine
      */
     void gemmInto(const Matrix &a, const Matrix &b, Matrix &c,
                   Epilogue ep = Epilogue::None) const;
-
-    /** C = A * B^T into a caller-owned buffer (dense score kernel). */
-    void gemmTransBInto(const Matrix &a, const Matrix &b,
-                        Matrix &c) const;
-
-    /** SDDMM: scores at mask nonzeros, CSR out. */
-    sparse::Csr sddmm(const Matrix &q, const Matrix &k,
-                      const sparse::BitMask &mask,
-                      float scale = 1.0f) const;
-
-    /** Row softmax over stored nonzeros (in place on the copy). */
-    sparse::Csr maskedSoftmaxRows(sparse::Csr s) const;
-
-    /** out = S * V. */
-    Matrix spmm(const sparse::Csr &s, const Matrix &v) const;
 
     /**
      * Fused sparse attention into a caller-owned output buffer:
@@ -260,14 +234,6 @@ class KernelEngine
         return c;
     }
 
-    /** C = A * B^T. */
-    Matrix gemmTransB(const Matrix &a, const Matrix &b) const
-    {
-        Matrix c;
-        gemmTransBInto(a, b, c);
-        return c;
-    }
-
     /**
      * Fused sparse attention returning a fresh output matrix, over a
      * layout built for this call (one mask scan per call): for
@@ -277,8 +243,7 @@ class KernelEngine
                            const Matrix &v, const sparse::BitMask &mask,
                            float scale = 1.0f) const
     {
-        const MaskLayout layout =
-            buildMaskLayout(mask, cfg_.cscSparsityThreshold);
+        const MaskLayout layout = buildMaskLayout(mask);
         Matrix out;
         sparseAttentionInto(q, k, v, mask,
                             layout.view(mask.rows(), mask.cols()), scale,
@@ -290,9 +255,6 @@ class KernelEngine
 
     /** Snapshot of the dispatch counters. */
     DispatchStats stats() const;
-
-    /** Zero the dispatch counters. */
-    void resetStats() const;
 
     /**
      * Process-wide default engine: Auto tier, env/CPUID-resolved
@@ -306,9 +268,6 @@ class KernelEngine
     bool useParallel(size_t rows, size_t macs) const;
     void forPanels(size_t rows, size_t macs,
                    const std::function<void(size_t, size_t)> &body) const;
-
-    /** The resolved per-ISA kernel table. */
-    const isa::IsaKernelTable &kernels() const;
 
     /** Count one optimized kernel launch at @p level. */
     void noteIsaLaunch(IsaLevel level) const;
@@ -324,8 +283,8 @@ class KernelEngine
     EngineConfig cfg_;
     ThreadPool *pool_;
 
-    /** Resolved per-ISA panel table; forceIsa() swaps it. */
-    std::atomic<const isa::IsaKernelTable *> kernels_;
+    /** Resolved per-ISA panel table (static lifetime). */
+    const isa::IsaKernelTable *kernels_;
 
     // Indexed by the private Counter enum in engine.cpp.
     mutable std::atomic<uint64_t> counters_[13];

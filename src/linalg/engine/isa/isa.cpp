@@ -22,9 +22,8 @@ namespace {
 
 /** The scalar tier-baseline table: the kernels_opt.cpp bodies. */
 const IsaKernelTable kScalarTable = {
-    IsaLevel::Scalar,  &gemmPanel,       &gemmTransBPanel,
-    &sddmmCsrPanel,    &sddmmCscPanel,   &softmaxCsrPanel,
-    &spmmPanel,
+    IsaLevel::Scalar, &gemmPanel,       &sddmmCsrPanel,
+    &sddmmCscPanel,   &softmaxCsrPanel, &spmmPanel,
 };
 
 } // namespace

@@ -7,8 +7,9 @@
  * Each supported instruction set lives in its own translation unit
  * under src/linalg/engine/isa/ compiled with exactly the flags it
  * needs (`-mavx2 -mfma`, `-mavx512f`, ...), and exports one
- * IsaKernelTable of panel entry points with signatures identical to
- * the scalar bodies in kernels_opt.h. The rest of the binary is
+ * IsaKernelTable of five panel entry points — GEMM, CSR and CSC
+ * SDDMM, softmax, SpMM — with signatures identical to the scalar
+ * bodies in kernels_opt.h. The rest of the binary is
  * compiled for the baseline target, so a build carrying AVX-512
  * kernels still *runs* everywhere — vector instructions execute only
  * after hostCpuFeatures() proves the CPU has them.
@@ -65,7 +66,7 @@ std::span<const IsaLevel> compiledIsaLevels();
 /**
  * Resolve the ISA level an engine should dispatch to.
  *
- * Precedence: @p forced (EngineConfig::isa / forceIsa()) wins over
+ * Precedence: @p forced (EngineConfig::isa) wins over
  * @p env (`VITCOD_ISA`, may be nullptr / empty / "auto" for "no
  * override"), which wins over auto-detection (the highest compiled
  * level @p f supports). A requested level that is not compiled or
@@ -88,8 +89,6 @@ struct IsaKernelTable
 
     void (*gemmPanel)(const Matrix &a, const Matrix &b, Matrix &c,
                       size_t r0, size_t r1, Epilogue ep) = nullptr;
-    void (*gemmTransBPanel)(const Matrix &a, const Matrix &b,
-                            Matrix &c, size_t r0, size_t r1) = nullptr;
     void (*sddmmCsrPanel)(const Matrix &q, const Matrix &k,
                           const std::vector<uint32_t> &row_ptr,
                           const std::vector<uint32_t> &col_idx,

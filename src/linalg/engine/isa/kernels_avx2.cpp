@@ -287,19 +287,6 @@ gemmPanelAvx2(const Matrix &a, const Matrix &b, Matrix &c, size_t r0,
 }
 
 void
-gemmTransBPanelAvx2(const Matrix &a, const Matrix &b, Matrix &c,
-                    size_t r0, size_t r1)
-{
-    const size_t K = a.cols();
-    for (size_t i = r0; i < r1; ++i) {
-        const float *a_row = a.rowData(i);
-        float *c_row = c.rowData(i);
-        for (size_t j = 0; j < b.rows(); ++j)
-            c_row[j] = dot(a_row, b.rowData(j), K);
-    }
-}
-
-void
 sddmmCsrPanelAvx2(const Matrix &q, const Matrix &k,
                   const std::vector<uint32_t> &row_ptr,
                   const std::vector<uint32_t> &col_idx, float *values,
@@ -533,10 +520,9 @@ const IsaKernelTable &
 avx2KernelTable()
 {
     static const IsaKernelTable table = {
-        IsaLevel::Avx2,        &gemmPanelAvx2,
-        &gemmTransBPanelAvx2,  &sddmmCsrPanelAvx2,
-        &sddmmCscPanelAvx2,    &softmaxCsrPanelAvx2,
-        &spmmPanelAvx2,
+        IsaLevel::Avx2,       &gemmPanelAvx2,
+        &sddmmCsrPanelAvx2,   &sddmmCscPanelAvx2,
+        &softmaxCsrPanelAvx2, &spmmPanelAvx2,
     };
     return table;
 }

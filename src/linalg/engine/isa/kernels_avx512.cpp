@@ -249,19 +249,6 @@ gemmPanelAvx512(const Matrix &a, const Matrix &b, Matrix &c, size_t r0,
 }
 
 void
-gemmTransBPanelAvx512(const Matrix &a, const Matrix &b, Matrix &c,
-                      size_t r0, size_t r1)
-{
-    const size_t K = a.cols();
-    for (size_t i = r0; i < r1; ++i) {
-        const float *a_row = a.rowData(i);
-        float *c_row = c.rowData(i);
-        for (size_t j = 0; j < b.rows(); ++j)
-            c_row[j] = dot(a_row, b.rowData(j), K);
-    }
-}
-
-void
 sddmmCsrPanelAvx512(const Matrix &q, const Matrix &k,
                     const std::vector<uint32_t> &row_ptr,
                     const std::vector<uint32_t> &col_idx, float *values,
@@ -456,10 +443,9 @@ const IsaKernelTable &
 avx512KernelTable()
 {
     static const IsaKernelTable table = {
-        IsaLevel::Avx512,        &gemmPanelAvx512,
-        &gemmTransBPanelAvx512,  &sddmmCsrPanelAvx512,
-        &sddmmCscPanelAvx512,    &softmaxCsrPanelAvx512,
-        &spmmPanelAvx512,
+        IsaLevel::Avx512,       &gemmPanelAvx512,
+        &sddmmCsrPanelAvx512,   &sddmmCscPanelAvx512,
+        &softmaxCsrPanelAvx512, &spmmPanelAvx512,
     };
     return table;
 }

@@ -63,19 +63,6 @@ gemmPanel(const Matrix &a, const Matrix &b, Matrix &c, size_t r0,
 }
 
 void
-gemmTransBPanel(const Matrix &a, const Matrix &b, Matrix &c, size_t r0,
-                size_t r1)
-{
-    const size_t K = a.cols();
-    for (size_t i = r0; i < r1; ++i) {
-        const float *a_row = a.rowData(i);
-        float *c_row = c.rowData(i);
-        for (size_t j = 0; j < b.rows(); ++j)
-            c_row[j] = dot4(a_row, b.rowData(j), K);
-    }
-}
-
-void
 sddmmCsrPanel(const Matrix &q, const Matrix &k,
               const std::vector<uint32_t> &row_ptr,
               const std::vector<uint32_t> &col_idx, float *values,

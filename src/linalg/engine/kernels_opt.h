@@ -41,10 +41,6 @@ enum class Epilogue
 void gemmPanel(const Matrix &a, const Matrix &b, Matrix &c, size_t r0,
                size_t r1, Epilogue ep);
 
-/** Dense C = A*B^T over C rows [r0, r1): the score kernel. */
-void gemmTransBPanel(const Matrix &a, const Matrix &b, Matrix &c,
-                     size_t r0, size_t r1);
-
 /**
  * SDDMM over CSR rows [r0, r1): values[i] = scale * dot(q.row(r),
  * k.row(col_idx[i])) for every stored nonzero of those rows.

@@ -10,8 +10,8 @@
  *    portable scalar code, AVX2+FMA or AVX-512. The reference
  *    tier is always scalar — the oracle must not depend on the host.
  *
- * Variants are resolved at engine construction (and on forceIsa())
- * from three sources, highest precedence first:
+ * Variants are resolved once, at engine construction, from three
+ * sources, highest precedence first:
  *
  *  1. `EngineConfig::isa` — programmatic force (benches' `--isa=`).
  *  2. `VITCOD_ISA=scalar|avx2|avx512|auto` — environment.

@@ -1,6 +1,8 @@
 #include "vit_config.h"
 
 #include <algorithm>
+#include <charconv>
+#include <string_view>
 
 #include "common/logging.h"
 
@@ -211,8 +213,16 @@ modelByName(const std::string &name)
     for (const auto &m : allSevenModels())
         if (m.name == name)
             return m;
-    if (name.rfind("BERT-Base-n", 0) == 0)
-        return bertBase(std::stoul(name.substr(11)));
+    if (name.rfind("BERT-Base-n", 0) == 0) {
+        // The whole suffix must be a positive decimal: no sign, no
+        // trailing junk, no exception on garbage.
+        const std::string_view tok = std::string_view(name).substr(11);
+        const char *end = tok.data() + tok.size();
+        size_t seq_len = 0;
+        const auto [p, ec] = std::from_chars(tok.data(), end, seq_len);
+        if (ec == std::errc() && p == end && seq_len > 0)
+            return bertBase(seq_len);
+    }
     fatal("unknown model name: ", name);
 }
 

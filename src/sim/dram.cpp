@@ -42,11 +42,4 @@ DramModel::gatherCycles(uint64_t count, Bytes grain_bytes) const
            cfg_.firstWordLatency;
 }
 
-void
-DramModel::resetStats()
-{
-    readBytes_ = 0;
-    writeBytes_ = 0;
-}
-
 } // namespace vitcod::sim

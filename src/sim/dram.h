@@ -27,9 +27,9 @@ struct DramConfig
 };
 
 /**
- * Analytic DRAM channel with traffic accounting. Latency helpers
- * are pure; record* methods accumulate the byte counters used by
- * the energy model and the Fig. 19 breakdowns.
+ * Analytic DRAM channel: pure latency helpers. Traffic itself is
+ * counted by the callers' schedules (per-phase DRAM streams), not
+ * here.
  */
 class DramModel
 {
@@ -55,23 +55,8 @@ class DramModel
      */
     Cycles gatherCycles(uint64_t count, Bytes grain_bytes) const;
 
-    /** Account @p bytes of read traffic. */
-    void recordRead(Bytes bytes) { readBytes_ += bytes; }
-
-    /** Account @p bytes of write traffic. */
-    void recordWrite(Bytes bytes) { writeBytes_ += bytes; }
-
-    Bytes readBytes() const { return readBytes_; }
-    Bytes writeBytes() const { return writeBytes_; }
-    Bytes totalBytes() const { return readBytes_ + writeBytes_; }
-
-    /** Clear the traffic counters. */
-    void resetStats();
-
   private:
     DramConfig cfg_;
-    Bytes readBytes_ = 0;
-    Bytes writeBytes_ = 0;
 };
 
 } // namespace vitcod::sim

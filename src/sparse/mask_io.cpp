@@ -1,5 +1,6 @@
 #include "mask_io.h"
 
+#include <charconv>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -76,6 +77,19 @@ nextToken(std::istream &is)
     return tok;
 }
 
+/** Largest mask readPbm accepts: 8192 x 8192 cells (64 MiB). */
+constexpr size_t kMaxPbmCells = size_t{1} << 26;
+
+/** @p tok as a whole decimal number; 0 if it is anything else. */
+size_t
+parseDim(const std::string &tok)
+{
+    const char *end = tok.data() + tok.size();
+    size_t v = 0;
+    const auto [p, ec] = std::from_chars(tok.data(), end, v);
+    return ec == std::errc() && p == end ? v : 0;
+}
+
 } // namespace
 
 BitMask
@@ -86,9 +100,13 @@ readPbm(std::istream &is)
                   "not a PBM stream: magic '", magic, "'");
     const std::string w_tok = nextToken(is);
     const std::string h_tok = nextToken(is);
-    const size_t cols = std::stoul(w_tok);
-    const size_t rows = std::stoul(h_tok);
-    VITCOD_ASSERT(rows > 0 && cols > 0, "empty PBM");
+    const size_t cols = parseDim(w_tok);
+    const size_t rows = parseDim(h_tok);
+    // rows <= cap / cols bounds the product without computing it.
+    VITCOD_ASSERT(cols > 0 && rows > 0 && rows <= kMaxPbmCells / cols,
+                  "bad PBM header: width '", w_tok, "' x height '",
+                  h_tok, "' must be positive integers of at most ",
+                  kMaxPbmCells, " cells");
 
     BitMask mask(rows, cols);
     if (magic == "P1") {

@@ -33,7 +33,12 @@ void writePbm(std::ostream &os, const BitMask &mask,
 void writePbmFile(const std::string &path, const BitMask &mask,
                   PbmFormat format = PbmFormat::Binary);
 
-/** Parse a PBM stream (P1 or P4, comments allowed in headers). */
+/**
+ * Parse a PBM stream (P1 or P4, comments allowed in headers).
+ * Malformed input — bad magic, non-numeric, non-positive or
+ * oversized dimensions, bad pixels, a short payload — panics with a
+ * message naming the fault; nothing throws.
+ */
 BitMask readPbm(std::istream &is);
 
 /** Parse from a file; fatal() on I/O failure. */

@@ -164,29 +164,6 @@ TEST(ViTCoDAccel, PruneOnlyPlansPayForGathers)
     EXPECT_GT(st.qGatherMisses, 0u);
 }
 
-TEST(ViTCoDAccel, LruMissesExactOnKnownPattern)
-{
-    // Diagonal CSC with window >= bandwidth: first touch per row
-    // only.
-    sparse::BitMask m(8, 8);
-    for (size_t i = 0; i < 8; ++i)
-        m.set(i, i, true);
-    const auto csc = sparse::Csc::fromMask(m);
-    EXPECT_EQ(ViTCoDAccelerator::lruQMisses(csc, 2), 8u);
-
-    // Dense column mask: every row touched once per column; window 1
-    // re-misses rows on the second column.
-    sparse::BitMask two_cols(4, 2);
-    for (size_t r = 0; r < 4; ++r) {
-        two_cols.set(r, 0, true);
-        two_cols.set(r, 1, true);
-    }
-    const auto csc2 = sparse::Csc::fromMask(two_cols);
-    EXPECT_EQ(ViTCoDAccelerator::lruQMisses(csc2, 1), 8u);
-    // Window 4 holds all rows: second column hits.
-    EXPECT_EQ(ViTCoDAccelerator::lruQMisses(csc2, 4), 4u);
-}
-
 TEST(ViTCoDAccel, NlpModeAddsPredictionOverhead)
 {
     ViTCoDConfig cfg;

@@ -5,7 +5,9 @@
  * fused sparse attention, parallel panels) must reproduce the scalar
  * golden kernels within a small ulp budget, across random masks
  * spanning sparsity 0.50-0.98, and produce bitwise identical results
- * across repeated parallel runs.
+ * across repeated parallel runs. The attention stages are checked
+ * one by one straight off the ISA kernel tables, and end to end
+ * through the engine's one fused entry point.
  *
  * The whole differential suite is value-parameterized over every ISA
  * level compiled into this binary (isa::compiledIsaLevels()); levels
@@ -85,17 +87,6 @@ expectMatrixClose(const Matrix &a, const Matrix &b, const char *what)
     for (size_t r = 0; r < a.rows(); ++r)
         for (size_t c = 0; c < a.cols(); ++c)
             expectUlpClose(a(r, c), b(r, c), what);
-}
-
-void
-expectCsrClose(const sparse::Csr &a, const sparse::Csr &b,
-               const char *what)
-{
-    ASSERT_EQ(a.rowPtr(), b.rowPtr()) << what;
-    ASSERT_EQ(a.colIdx(), b.colIdx()) << what;
-    ASSERT_EQ(a.values().size(), b.values().size()) << what;
-    for (size_t i = 0; i < a.values().size(); ++i)
-        expectUlpClose(a.values()[i], b.values()[i], what);
 }
 
 /** Random mask at the target sparsity; row 0 is forced empty to
@@ -202,6 +193,13 @@ class KernelEngineIsa : public ::testing::TestWithParam<IsaLevel>
     {
         return {.tier = KernelTier::Optimized, .isa = GetParam()};
     }
+
+    /** The parameterized ISA's panels (compiled, so never null). */
+    const engine::isa::IsaKernelTable &
+    table() const
+    {
+        return *engine::isa::isaKernelTable(GetParam());
+    }
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -214,45 +212,66 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(KernelEngineIsa, SddmmMatchesOracleAcrossSparsities)
 {
-    const KernelEngine opt(optCfg());
+    // Both SDDMM walks off the ISA table: the CSR panel against the
+    // oracle, and the CSC panel scattered back to CSR order bitwise
+    // equal to it (same dot, other traversal — d = 64 takes the
+    // vector levels' grouped-gather kernel on both).
+    const auto &kt = table();
     Rng rng(7);
     const auto q = Matrix::randomNormal(196, 64, rng);
     const auto k = Matrix::randomNormal(196, 64, rng);
     for (double sp : kSparsities) {
         const auto mask = randomMask(196, sp, rng);
         const auto ref = sddmm(q, k, mask, 0.125f);
-        const auto got = opt.sddmm(q, k, mask, 0.125f);
-        expectCsrClose(got, ref, "sddmm");
+        const MaskLayout l = engine::buildMaskLayout(mask, 0.0);
+        ASSERT_EQ(l.rowPtr, ref.rowPtr());
+        ASSERT_EQ(l.colIdx, ref.colIdx());
+        ASSERT_TRUE(l.useCsc);
+
+        std::vector<float> csr(l.colIdx.size());
+        kt.sddmmCsrPanel(q, k, l.rowPtr, l.colIdx, csr.data(), 0,
+                         mask.rows(), 0.125f);
+        for (size_t i = 0; i < csr.size(); ++i)
+            expectUlpClose(csr[i], ref.values()[i], "sddmm");
+
+        std::vector<float> csc(l.rowIdx.size()), scattered;
+        kt.sddmmCscPanel(q, k, l.colPtr, l.rowIdx, csc.data(), 0,
+                         mask.cols(), 0.125f);
+        engine::cscValuesToCsr(mask.rows(), l.colPtr, l.rowIdx, csc,
+                               l.rowPtr, scattered);
+        EXPECT_EQ(scattered, csr) << "sparsity " << sp;
     }
 }
 
 TEST_P(KernelEngineIsa, CscAndCsrSddmmPathsAgreeBitwise)
 {
-    // Same dot inner loop, different traversal order: results must
-    // be bitwise identical per ISA, not merely close.
-    EngineConfig cfg = optCfg();
-    cfg.cscSparsityThreshold = 0.0;
-    const KernelEngine always_csc(cfg);
-    cfg.cscSparsityThreshold = 2.0;
-    const KernelEngine never_csc(cfg);
+    // The same mask compiled with and without the CSC walk: fused
+    // attention must be bitwise identical per ISA, not merely close.
+    const KernelEngine eng(optCfg());
     Rng rng(11);
     const auto q = Matrix::randomNormal(128, 48, rng);
     const auto k = Matrix::randomNormal(128, 48, rng);
+    const auto v = Matrix::randomNormal(128, 48, rng);
+    Matrix via_csc, via_csr;
     for (double sp : {0.6, 0.9}) {
         const auto mask = randomMask(128, sp, rng);
-        const auto a = always_csc.sddmm(q, k, mask, 1.0f);
-        const auto b = never_csc.sddmm(q, k, mask, 1.0f);
-        EXPECT_EQ(a.values(), b.values());
-        EXPECT_EQ(a.colIdx(), b.colIdx());
+        const MaskLayout csc = engine::buildMaskLayout(mask, 0.0);
+        const MaskLayout csr = engine::buildMaskLayout(mask, 2.0);
+        ASSERT_TRUE(csc.useCsc);
+        ASSERT_FALSE(csr.useCsc);
+        eng.sparseAttentionInto(q, k, v, mask, csc.view(128, 128), 1.0f,
+                                via_csc);
+        eng.sparseAttentionInto(q, k, v, mask, csr.view(128, 128), 1.0f,
+                                via_csr);
+        EXPECT_TRUE(bitwiseEqual(via_csc, via_csr)) << "sparsity " << sp;
     }
-    EXPECT_GT(always_csc.stats().sddmmCsc, 0u);
-    EXPECT_GT(never_csc.stats().sddmmCsr, 0u);
-    EXPECT_EQ(always_csc.stats().sddmmCsr, 0u);
+    EXPECT_EQ(eng.stats().sddmmCsc, 2u);
+    EXPECT_EQ(eng.stats().sddmmCsr, 2u);
 }
 
 TEST_P(KernelEngineIsa, MaskedSoftmaxMatchesOracle)
 {
-    const KernelEngine opt(optCfg());
+    const auto &kt = table();
     Rng rng(13);
     const auto q = Matrix::randomNormal(196, 64, rng);
     const auto k = Matrix::randomNormal(196, 64, rng);
@@ -260,16 +279,17 @@ TEST_P(KernelEngineIsa, MaskedSoftmaxMatchesOracle)
         const auto mask = randomMask(196, sp, rng);
         const auto s = sddmm(q, k, mask, 0.125f);
         const auto ref = maskedSoftmaxRows(s);
-        const auto got = opt.maskedSoftmaxRows(s);
-        expectCsrClose(got, ref, "maskedSoftmax");
+        std::vector<float> got = s.values();
+        kt.softmaxCsrPanel(s.rowPtr(), got.data(), 0, s.rows());
+        for (size_t i = 0; i < got.size(); ++i)
+            expectUlpClose(got[i], ref.values()[i], "maskedSoftmax");
         // Rows must still sum to 1.
-        for (size_t r = 1; r < got.rows(); ++r) {
-            if (got.rowNnz(r) == 0)
+        for (size_t r = 1; r < s.rows(); ++r) {
+            if (s.rowNnz(r) == 0)
                 continue;
             double sum = 0.0;
-            for (uint32_t i = got.rowPtr()[r]; i < got.rowPtr()[r + 1];
-                 ++i)
-                sum += got.values()[i];
+            for (uint32_t i = s.rowPtr()[r]; i < s.rowPtr()[r + 1]; ++i)
+                sum += got[i];
             EXPECT_NEAR(sum, 1.0, 1e-5);
         }
     }
@@ -277,7 +297,7 @@ TEST_P(KernelEngineIsa, MaskedSoftmaxMatchesOracle)
 
 TEST_P(KernelEngineIsa, SpmmMatchesOracle)
 {
-    const KernelEngine opt(optCfg());
+    const auto &kt = table();
     Rng rng(17);
     const auto q = Matrix::randomNormal(196, 64, rng);
     const auto k = Matrix::randomNormal(196, 64, rng);
@@ -285,7 +305,10 @@ TEST_P(KernelEngineIsa, SpmmMatchesOracle)
     for (double sp : kSparsities) {
         const auto mask = randomMask(196, sp, rng);
         const auto s = maskedSoftmaxRows(sddmm(q, k, mask, 0.125f));
-        expectMatrixClose(opt.spmm(s, v), spmm(s, v), "spmm");
+        Matrix got(s.rows(), v.cols()); // the panel accumulates
+        kt.spmmPanel(s.rowPtr(), s.colIdx(), s.values().data(), v, got,
+                     0, s.rows());
+        expectMatrixClose(got, spmm(s, v), "spmm");
     }
 }
 
@@ -425,16 +448,6 @@ TEST_P(KernelEngineIsa, GeluEpilogueEdgeValues)
     }
 }
 
-TEST_P(KernelEngineIsa, GemmTransBMatchesOracle)
-{
-    const KernelEngine opt(optCfg());
-    Rng rng(29);
-    const auto a = Matrix::randomNormal(197, 64, rng);
-    const auto b = Matrix::randomNormal(197, 64, rng);
-    expectMatrixClose(opt.gemmTransB(a, b), gemmTransB(a, b),
-                      "gemmTransB");
-}
-
 TEST_P(KernelEngineIsa, RaggedWidthsMatchOracle)
 {
     // Odd feature dims exercise every SIMD tail path (masked loads
@@ -451,8 +464,6 @@ TEST_P(KernelEngineIsa, RaggedWidthsMatchOracle)
             maskedSoftmaxRows(sddmm(q, k, mask, 0.5f)), v);
         expectMatrixClose(opt.sparseAttention(q, k, v, mask, 0.5f),
                           ref, "ragged sparseAttention");
-        expectMatrixClose(opt.gemmTransB(q, k), gemmTransB(q, k),
-                          "ragged gemmTransB");
     }
 }
 
@@ -653,9 +664,6 @@ TEST(KernelEngine, AutoTierDispatchesBySize)
     (void)eng.gemm(a_big, b_big);
     EXPECT_EQ(eng.stats().gemmOptimized, 1u);
     EXPECT_EQ(eng.stats().isaScalar, 1u);
-
-    eng.resetStats();
-    EXPECT_EQ(eng.stats().gemmOptimized, 0u);
 }
 
 TEST(KernelEngine, ReferenceTierPinsTheOracle)
@@ -667,12 +675,18 @@ TEST(KernelEngine, ReferenceTierPinsTheOracle)
     Rng rng(41);
     const auto q = Matrix::randomNormal(64, 32, rng);
     const auto k = Matrix::randomNormal(64, 32, rng);
+    const auto v = Matrix::randomNormal(64, 32, rng);
     const auto mask = randomMask(64, 0.9, rng);
-    const auto a = ref.sddmm(q, k, mask, 1.0f);
-    const auto b = sddmm(q, k, mask, 1.0f);
-    EXPECT_EQ(a.values(), b.values());
-    EXPECT_EQ(ref.stats().sddmmReference, 1u);
-    EXPECT_EQ(ref.stats().sddmmCsr + ref.stats().sddmmCsc, 0u);
+    const Matrix got = ref.sparseAttention(q, k, v, mask, 1.0f);
+    const Matrix want =
+        spmm(maskedSoftmaxRows(sddmm(q, k, mask, 1.0f)), v);
+    EXPECT_TRUE(bitwiseEqual(got, want));
+    const DispatchStats st = ref.stats();
+    EXPECT_EQ(st.sddmmReference, 1u);
+    EXPECT_EQ(st.softmaxReference, 1u);
+    EXPECT_EQ(st.spmmReference, 1u);
+    EXPECT_EQ(st.sddmmCsr + st.sddmmCsc, 0u);
+    EXPECT_EQ(st.isaScalar + st.isaAvx2 + st.isaAvx512, 0u);
 }
 
 TEST(KernelEngine, ReferenceTierGeluEpilogueIsTheOracle)
@@ -690,26 +704,6 @@ TEST(KernelEngine, ReferenceTierGeluEpilogueIsTheOracle)
     EXPECT_TRUE(bitwiseEqual(got, want));
     EXPECT_EQ(ref.stats().gemmReference, 1u);
     EXPECT_EQ(ref.stats().gemmOptimized, 0u);
-}
-
-TEST(KernelEngine, ForceIsaRetargetsALiveEngine)
-{
-    KernelEngine eng({.tier = KernelTier::Optimized});
-    const IsaLevel applied = eng.forceIsa(IsaLevel::Scalar);
-    EXPECT_EQ(applied, IsaLevel::Scalar);
-    EXPECT_EQ(eng.isaLevel(), IsaLevel::Scalar);
-
-    Rng rng(47);
-    const auto a = Matrix::randomNormal(64, 64, rng);
-    const auto b = Matrix::randomNormal(64, 64, rng);
-    (void)eng.gemm(a, b);
-    EXPECT_EQ(eng.stats().isaScalar, 1u);
-
-    // Forcing the host's best level is always satisfiable exactly.
-    const IsaLevel best = engine::isa::resolveIsa(
-        std::nullopt, engine::isa::hostCpuFeatures(), nullptr);
-    EXPECT_EQ(eng.forceIsa(best), best);
-    EXPECT_EQ(eng.variant().isa, best);
 }
 
 TEST(KernelEngine, DispatchStatsDifferenceIsCounterWise)

@@ -5,7 +5,7 @@
  * auto-detect), downward clamping on unsupported/uncompiled levels,
  * name parsing, the kernel-table registry, and the engine-facing
  * behavior (construction-time env pickup, Auto picking the host's
- * best level, forceIsa clamping). resolveIsa is a pure function of
+ * best level, a config pin above the host clamping down). resolveIsa is a pure function of
  * (forced, CpuFeatures, env), so every precedence and clamping case
  * runs with mocked CPU features and env strings — no real CPUID, no
  * setenv.
@@ -81,7 +81,6 @@ TEST(Registry, ScalarTableIsAlwaysCompiledAndComplete)
     ASSERT_NE(t, nullptr);
     EXPECT_EQ(t->level, IsaLevel::Scalar);
     EXPECT_NE(t->gemmPanel, nullptr);
-    EXPECT_NE(t->gemmTransBPanel, nullptr);
     EXPECT_NE(t->sddmmCsrPanel, nullptr);
     EXPECT_NE(t->sddmmCscPanel, nullptr);
     EXPECT_NE(t->softmaxCsrPanel, nullptr);
@@ -229,19 +228,23 @@ TEST(IsaEngine, AutoEngineRunsTheHostsBestLevel)
     }
 }
 
-TEST(IsaEngine, ForceIsaClampsAndReportsTheAppliedLevel)
+TEST(IsaEngine, ConfigPinClampsAtConstruction)
 {
-    KernelEngine eng({.tier = KernelTier::Optimized});
     // Scalar is always applicable exactly.
-    EXPECT_EQ(eng.forceIsa(IsaLevel::Scalar), IsaLevel::Scalar);
-    // Re-forcing whatever resolved at construction round-trips.
+    const KernelEngine scalar(
+        {.tier = KernelTier::Optimized, .isa = IsaLevel::Scalar});
+    EXPECT_EQ(scalar.isaLevel(), IsaLevel::Scalar);
+    // Pinning the host's best level is satisfied exactly.
     const IsaLevel best =
         resolveIsa(std::nullopt, hostCpuFeatures(), nullptr);
-    EXPECT_EQ(eng.forceIsa(best), best);
+    const KernelEngine pinned(
+        {.tier = KernelTier::Optimized, .isa = best});
+    EXPECT_EQ(pinned.isaLevel(), best);
     // A level the host can't run clamps to something it can.
-    const IsaLevel applied = eng.forceIsa(IsaLevel::Avx512);
-    EXPECT_TRUE(cpuSupports(hostCpuFeatures(), applied));
-    EXPECT_LE(applied, IsaLevel::Avx512);
+    const KernelEngine top(
+        {.tier = KernelTier::Optimized, .isa = IsaLevel::Avx512});
+    EXPECT_TRUE(cpuSupports(hostCpuFeatures(), top.isaLevel()));
+    EXPECT_EQ(top.variant().isa, top.isaLevel());
 }
 
 } // namespace

@@ -90,6 +90,14 @@ TEST(ModelZoo, LookupByName)
     EXPECT_EQ(modelByName("BERT-Base-n128").stages[0].tokens, 128u);
 }
 
+TEST(ModelZooDeath, MalformedBertLengthIsAnUnknownName)
+{
+    for (const char *name :
+         {"BERT-Base-n", "BERT-Base-nabc", "BERT-Base-n12x",
+          "BERT-Base-n-1", "BERT-Base-n0"})
+        EXPECT_DEATH(modelByName(name), "unknown model name") << name;
+}
+
 TEST(ModelZoo, BaselineQualityPublishedValues)
 {
     EXPECT_NEAR(deitTiny().baselineQuality, 72.2, 1e-9);

@@ -75,8 +75,8 @@ TEST(ScheduleBuilder, SplitPartitionsEveryMask)
             }
             // The builder's layout is exactly the engine's one
             // mask -> layout compression.
-            EXPECT_EQ(hs.layout, linalg::engine::buildMaskLayout(
-                                     p.mask, cfg.cscSparsityThreshold));
+            EXPECT_EQ(hs.layout,
+                      linalg::engine::buildMaskLayout(p.mask));
             EXPECT_EQ(hs.numGlobalTokens, p.numGlobalTokens);
         }
         // The priced engine workload exceeds the executed mask-nnz
@@ -204,6 +204,16 @@ TEST(ScheduleMath, LruMissesExactOnKnownPattern)
         m.set(i, i, true);
     EXPECT_EQ(lruQMisses(sparse::Csc::fromMask(m), 2), 8u);
     EXPECT_EQ(lruQMisses(sparse::Csc::fromMask(m), 0), 8u);
+
+    // Two dense columns: window 1 re-misses every row on the second
+    // column; window 4 holds all rows, so the second column hits.
+    sparse::BitMask two_cols(4, 2);
+    for (size_t r = 0; r < 4; ++r) {
+        two_cols.set(r, 0, true);
+        two_cols.set(r, 1, true);
+    }
+    EXPECT_EQ(lruQMisses(sparse::Csc::fromMask(two_cols), 1), 8u);
+    EXPECT_EQ(lruQMisses(sparse::Csc::fromMask(two_cols), 4), 4u);
 }
 
 } // namespace

@@ -75,18 +75,5 @@ TEST(Dram, CyclesScaleWithBandwidth)
                 4.0);
 }
 
-TEST(Dram, TrafficAccounting)
-{
-    DramModel d;
-    d.recordRead(100);
-    d.recordRead(50);
-    d.recordWrite(30);
-    EXPECT_EQ(d.readBytes(), 150u);
-    EXPECT_EQ(d.writeBytes(), 30u);
-    EXPECT_EQ(d.totalBytes(), 180u);
-    d.resetStats();
-    EXPECT_EQ(d.totalBytes(), 0u);
-}
-
 } // namespace
 } // namespace vitcod::sim

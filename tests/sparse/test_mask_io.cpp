@@ -103,5 +103,25 @@ TEST(MaskIoDeath, TruncatedBinaryPanics)
     EXPECT_DEATH(readPbm(ss), "truncated");
 }
 
+TEST(MaskIoDeath, NonNumericDimensionPanics)
+{
+    std::stringstream ss("P4\nabc 3\n");
+    EXPECT_DEATH(readPbm(ss), "PBM header");
+}
+
+TEST(MaskIoDeath, NegativeDimensionPanics)
+{
+    std::stringstream ss("P1\n-1 2\n");
+    EXPECT_DEATH(readPbm(ss), "PBM header");
+}
+
+TEST(MaskIoDeath, OverflowingDimensionsPanic)
+{
+    // 2^63 x 2 wraps rows * cols to 0 in size_t arithmetic.
+    std::stringstream ss;
+    ss << "P4\n9223372036854775808 2\n" << std::string(64, 'x');
+    EXPECT_DEATH(readPbm(ss), "PBM header");
+}
+
 } // namespace
 } // namespace vitcod::sparse
