@@ -1,14 +1,13 @@
 /**
  * @file
  * Design-space exploration throughput + quality harness: times the
- * three search algorithms (exhaustive grid, coordinate descent,
- * simulated annealing) of dse::Explorer on a DeiT workload bundle
- * and reports, per algorithm, how many configurations were priced,
- * the frontier size, the evaluation throughput (the Schedule-IR
- * pricing loop is the hot path), and the quality of the result —
- * best-latency speedup over the default accelerator and whether a
- * point dominating the default on latency at equal-or-lower area
- * was found. One JsonRow per (algorithm, workload bundle).
+ * exhaustive search of dse::Explorer on a DeiT workload bundle and
+ * reports how many configurations were priced, the frontier size,
+ * the evaluation throughput (the Schedule-IR pricing loop is the
+ * hot path), and the quality of the result — best-latency speedup
+ * over the default accelerator and whether a point dominating the
+ * default on latency at equal-or-lower area was found. One JsonRow
+ * per workload bundle.
  *
  * --smoke prices the small smokeSpace() grid on DeiT-Tiny only;
  * the full run explores defaultSpace() on a Tiny+Small bundle.
@@ -25,8 +24,7 @@ using namespace vitcod;
 namespace {
 
 void
-report(const std::string &bundle, const std::string &algorithm,
-       const dse::DseResult &r, bool json)
+report(const std::string &bundle, const dse::DseResult &r, bool json)
 {
     const dse::Objectives &base = r.baseline;
     const dse::DsePoint &best = r.frontier.bestLatency();
@@ -46,7 +44,6 @@ report(const std::string &bundle, const std::string &algorithm,
         bench::JsonRow()
             .set("bench", "dse")
             .set("bundle", bundle)
-            .set("algorithm", algorithm)
             .set("evaluated", r.evaluated)
             .set("frontier", static_cast<uint64_t>(
                                  r.frontier.points().size()))
@@ -59,10 +56,10 @@ report(const std::string &bundle, const std::string &algorithm,
             .print();
     } else {
         std::printf(
-            "%-18s %-11s evaluated %5llu  frontier %3zu  "
+            "%-18s evaluated %5llu  frontier %3zu  "
             "%8.1f evals/s  best %8.2f us  speedup %.3fx  "
             "dominates_default %d\n",
-            bundle.c_str(), algorithm.c_str(),
+            bundle.c_str(),
             static_cast<unsigned long long>(r.evaluated),
             r.frontier.points().size(), evals_per_sec,
             best.obj.latencySeconds * 1e6, speedup, dominating);
@@ -89,22 +86,13 @@ main(int argc, char **argv)
     }
 
     dse::ExplorerConfig ec;
-    ec.seed = opts.seed;
     ec.threads = opts.threads; // 0 = shared engine pool
-    if (opts.smoke) {
-        ec.annealChains = 2;
-        ec.annealSteps = 40;
-    }
     dse::Explorer explorer(bundle,
                            opts.smoke
                                ? dse::HwConfigSpace::smokeSpace()
                                : dse::HwConfigSpace::defaultSpace(),
                            ec);
 
-    report(bundle_name, "exhaustive", explorer.exhaustive(),
-           opts.json);
-    report(bundle_name, "coordinate", explorer.coordinateDescent(),
-           opts.json);
-    report(bundle_name, "anneal", explorer.anneal(), opts.json);
+    report(bundle_name, explorer.exhaustive(), opts.json);
     return 0;
 }

@@ -31,10 +31,7 @@ main(int argc, char **argv)
     wl.model = argc > 1 ? argv[1] : "DeiT-Tiny";
     wl.sparsity = argc > 2 ? std::atof(argv[2]) : 0.9;
 
-    dse::ExplorerConfig ec;
-    ec.seed = 1;
-    dse::Explorer explorer({wl}, dse::HwConfigSpace::defaultSpace(),
-                           ec);
+    dse::Explorer explorer({wl}, dse::HwConfigSpace::defaultSpace());
 
     const dse::Objectives base = explorer.baseline();
     printBanner(std::cout, "Workload " + wl.str() +
@@ -66,18 +63,8 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
 
-    // ---- Guided search covers a fraction of the grid.
-    const dse::DseResult sa = explorer.anneal();
-    printBanner(std::cout, "Simulated annealing (seed 1)");
-    std::cout << sa.evaluated << " of " << explorer.space().size()
-              << " configurations priced; best latency "
-              << sa.frontier.bestLatency().obj.latencySeconds * 1e6
-              << " us vs exhaustive "
-              << ex.frontier.bestLatency().obj.latencySeconds * 1e6
-              << " us\n";
-
     // ---- Pipelined objective mode: re-run the sweep with the
-    // event-driven backpressure model (docs/SIMULATOR.md) on a
+    // pipelined backpressure model (docs/SIMULATOR.md) on a
     // bandwidth-starved grid where the inter-stage FIFO depth — a
     // knob the analytic recurrence cannot see — becomes a real
     // latency lever. End-to-end scope: the dense block's
@@ -89,9 +76,8 @@ main(int argc, char **argv)
     pspace.pipeFifoDepth = {1, 1024};
     pspace.pipeStageLatency = {0, 16};
     pspace.base.pipeline.fifoChunkBytes = 1024;
-    dse::ExplorerConfig pec = ec;
-    pec.simMode = sim::SimMode::Pipelined;
-    dse::Explorer pexplorer({pwl}, pspace, pec);
+    dse::Explorer pexplorer({pwl}, pspace,
+                            {.simMode = sim::SimMode::Pipelined});
     const dse::DseResult pex = pexplorer.exhaustive();
     printBanner(std::cout,
                 "Pipelined mode on a starved DRAM (12.8 GB/s)");

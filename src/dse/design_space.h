@@ -6,7 +6,7 @@
  * A HwConfigSpace is a small grid: one value list per swept
  * accelerator knob, every non-swept knob taken from a base
  * ViTCoDConfig. Points are addressed by a single mixed-radix index
- * so search algorithms can walk the space without materializing it.
+ * so the explorer can walk the space without materializing it.
  *
  * The area proxy turns a configuration into a silicon-cost scalar
  * (mm^2-like units from published 28 nm-class densities) so the
@@ -56,7 +56,7 @@ double areaProxyMm2(const accel::ViTCoDConfig &cfg,
  * The swept grid. Each axis is a non-empty list of candidate values
  * for one ViTCoDConfig knob; the cartesian product (minus points
  * rejected by valid()) is the search space. Axis order is fixed and
- * public — guided search mutates one axis digit at a time.
+ * public: it is the digit order of the mixed-radix index.
  */
 struct HwConfigSpace
 {
@@ -104,9 +104,8 @@ struct HwConfigSpace
      * Structural feasibility of point @p index: the AE engines must
      * leave MAC lines for the denser/sparser engines (the
      * ViTCoDAccelerator constructor enforces the same), and every
-     * count/capacity must be nonzero. Invalid points are skipped by
-     * exhaustive search and treated as infinitely bad by guided
-     * search.
+     * count/capacity must be nonzero. The explorer skips invalid
+     * points.
      */
     bool valid(size_t index) const;
 

@@ -1,13 +1,10 @@
 #include "dse/explorer.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "core/pipeline.h"
 #include "core/schedule/builder.h"
 #include "obs/metrics.h"
@@ -145,19 +142,6 @@ Explorer::evaluateIndex(size_t index) const
     return p;
 }
 
-double
-Explorer::score(const Objectives &obj) const
-{
-    const auto rel = [](double v, double base) {
-        return base > 0.0 ? v / base : v;
-    };
-    return cfg_.latencyWeight *
-               rel(obj.latencySeconds, baseline_.latencySeconds) +
-           cfg_.energyWeight *
-               rel(obj.energyJoules, baseline_.energyJoules) +
-           cfg_.areaWeight * rel(obj.areaMm2, baseline_.areaMm2);
-}
-
 void
 Explorer::parallelOver(size_t n,
                        const std::function<void(size_t)> &fn) const
@@ -170,29 +154,26 @@ Explorer::parallelOver(size_t n,
 }
 
 DseResult
-Explorer::finish(const std::string &algorithm, uint64_t seed,
-                 std::vector<DsePoint> points, double t0) const
+Explorer::exhaustive()
 {
-    // Guided searches may visit a point from several chains/sweeps;
-    // the frontier counts unique priced points.
-    std::sort(points.begin(), points.end(),
-              [](const DsePoint &a, const DsePoint &b) {
-                  return a.index < b.index;
-              });
-    points.erase(std::unique(points.begin(), points.end(),
-                             [](const DsePoint &a, const DsePoint &b) {
-                                 return a.index == b.index;
-                             }),
-                 points.end());
+    const double t0 = nowSeconds();
+    const size_t n = space_.size();
+    VITCOD_TRACE_SPAN("exhaustive", "dse", "space", double(n));
+    std::vector<DsePoint> slots(n);
+    parallelOver(n, [&](size_t i) {
+        if (space_.valid(i))
+            slots[i] = evaluateIndex(i);
+    });
 
     DseResult r;
     r.frontier.workloads = specs_;
-    r.frontier.algorithm = algorithm;
-    r.frontier.seed = seed;
-    r.frontier.evaluated = points.size();
-    for (const DsePoint &p : points)
-        r.frontier.insert(p);
-    r.evaluated = points.size();
+    for (size_t i = 0; i < n; ++i) {
+        if (!space_.valid(i))
+            continue;
+        r.frontier.insert(slots[i]);
+        ++r.evaluated;
+    }
+    r.frontier.evaluated = r.evaluated;
     r.baseline = baseline_;
     r.wallSeconds = nowSeconds() - t0;
     obs::metrics()
@@ -200,234 +181,6 @@ Explorer::finish(const std::string &algorithm, uint64_t seed,
                "Unique priced points in the last finished search")
         .set(static_cast<double>(r.evaluated));
     return r;
-}
-
-DseResult
-Explorer::exhaustive()
-{
-    const double t0 = nowSeconds();
-    const size_t n = space_.size();
-    VITCOD_TRACE_SPAN("exhaustive", "dse", "space", double(n));
-    std::vector<DsePoint> slots(n);
-    std::vector<char> priced(n, 0);
-    parallelOver(n, [&](size_t i) {
-        if (!space_.valid(i))
-            return;
-        slots[i] = evaluateIndex(i);
-        priced[i] = 1;
-    });
-    std::vector<DsePoint> points;
-    points.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        if (priced[i])
-            points.push_back(std::move(slots[i]));
-    return finish("exhaustive", 0, std::move(points), t0);
-}
-
-DseResult
-Explorer::coordinateDescent()
-{
-    const double t0 = nowSeconds();
-    VITCOD_TRACE_SPAN("coordinate_descent", "dse", "space",
-                      double(space_.size()));
-
-    // Start from the grid point nearest the base configuration.
-    std::vector<size_t> digits(HwConfigSpace::kAxes, 0);
-    const auto nearest = [](const auto &values, double target) {
-        size_t best = 0;
-        for (size_t i = 1; i < values.size(); ++i) {
-            const double d =
-                std::abs(static_cast<double>(values[i]) - target);
-            const double bd = std::abs(
-                static_cast<double>(values[best]) - target);
-            if (d < bd)
-                best = i;
-        }
-        return best;
-    };
-    const accel::ViTCoDConfig &b = space_.base;
-    digits[0] = nearest(space_.macLines,
-                        static_cast<double>(b.macArray.macLines));
-    digits[1] = nearest(space_.macsPerLine,
-                        static_cast<double>(b.macArray.macsPerLine));
-    digits[2] =
-        nearest(space_.aeLines, static_cast<double>(b.aeLines));
-    digits[3] = nearest(space_.sparserLineFrac, b.sparserLineFrac);
-    digits[4] = nearest(space_.qkvBufBytes,
-                        static_cast<double>(b.qkvBufBytes));
-    digits[5] = nearest(space_.sBufferBytes,
-                        static_cast<double>(b.sBufferBytes));
-    digits[6] =
-        nearest(space_.bandwidthGBps, b.dram.bandwidthGBps);
-    digits[7] =
-        nearest(space_.pipeFifoDepth,
-                static_cast<double>(b.pipeline.fetchFifoDepth));
-    digits[8] =
-        nearest(space_.pipeStageLatency,
-                static_cast<double>(b.pipeline.fetchLatency));
-    if (!space_.valid(space_.encode(digits))) {
-        // Degenerate spaces: fall back to the first valid point.
-        for (size_t i = 0; i < space_.size(); ++i)
-            if (space_.valid(i)) {
-                digits = space_.decode(i);
-                break;
-            }
-    }
-
-    std::map<size_t, DsePoint> seen;
-    const auto priced = [&](size_t idx) -> const DsePoint & {
-        auto it = seen.find(idx);
-        if (it == seen.end())
-            it = seen.emplace(idx, evaluateIndex(idx)).first;
-        return it->second;
-    };
-
-    size_t current = space_.encode(digits);
-    double currentScore = score(priced(current).obj);
-
-    for (size_t sweep = 0; sweep < cfg_.descentSweeps; ++sweep) {
-        VITCOD_TRACE_SPAN("sweep", "dse", "sweep", double(sweep));
-        obs::counterEvent("dse_priced_points",
-                          double(seen.size()), "dse");
-        bool improved = false;
-        for (size_t axis = 0; axis < HwConfigSpace::kAxes; ++axis) {
-            // Candidate indices along this axis, unseen ones priced
-            // in parallel before the sequential (deterministic) pick.
-            std::vector<size_t> cand;
-            for (size_t v = 0; v < space_.axisSize(axis); ++v) {
-                std::vector<size_t> d = digits;
-                d[axis] = v;
-                const size_t idx = space_.encode(d);
-                if (space_.valid(idx))
-                    cand.push_back(idx);
-            }
-            std::vector<size_t> fresh;
-            for (size_t idx : cand)
-                if (seen.find(idx) == seen.end())
-                    fresh.push_back(idx);
-            std::vector<DsePoint> evals(fresh.size());
-            parallelOver(fresh.size(), [&](size_t i) {
-                evals[i] = evaluateIndex(fresh[i]);
-            });
-            for (size_t i = 0; i < fresh.size(); ++i)
-                seen.emplace(fresh[i], std::move(evals[i]));
-
-            for (size_t idx : cand) {
-                const double s = score(seen.at(idx).obj);
-                if (s < currentScore) {
-                    currentScore = s;
-                    current = idx;
-                    digits = space_.decode(idx);
-                    improved = true;
-                }
-            }
-        }
-        if (!improved)
-            break;
-    }
-
-    std::vector<DsePoint> points;
-    points.reserve(seen.size());
-    for (auto &[idx, p] : seen)
-        points.push_back(std::move(p));
-    return finish("coordinate", 0, std::move(points), t0);
-}
-
-DseResult
-Explorer::anneal()
-{
-    const double t0 = nowSeconds();
-    const size_t chains = std::max<size_t>(1, cfg_.annealChains);
-    const size_t steps = std::max<size_t>(2, cfg_.annealSteps);
-    VITCOD_TRACE_SPAN("anneal", "dse", "chains", double(chains),
-                      "steps", double(steps));
-
-    std::vector<std::vector<DsePoint>> perChain(chains);
-    parallelOver(chains, [&](size_t c) {
-        VITCOD_TRACE_SPAN("chain", "dse", "chain", double(c));
-        // Chain-disjoint deterministic streams: the seed and the
-        // chain id mix through SplitMix64 inside Rng's expansion.
-        Rng rng(cfg_.seed +
-                0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(c + 1));
-
-        std::map<size_t, DsePoint> seen;
-        const auto priced = [&](size_t idx) -> const DsePoint & {
-            auto it = seen.find(idx);
-            if (it == seen.end())
-                it = seen.emplace(idx, evaluateIndex(idx)).first;
-            return it->second;
-        };
-
-        // Random valid start (bounded draws, then linear fallback).
-        size_t current = space_.size();
-        for (int tries = 0; tries < 64; ++tries) {
-            const size_t idx = static_cast<size_t>(
-                rng.uniformInt(space_.size()));
-            if (space_.valid(idx)) {
-                current = idx;
-                break;
-            }
-        }
-        if (current == space_.size()) {
-            for (size_t i = 0; i < space_.size(); ++i)
-                if (space_.valid(i)) {
-                    current = i;
-                    break;
-                }
-        }
-        double currentScore = score(priced(current).obj);
-
-        const double t_ratio =
-            cfg_.annealEndTemp / cfg_.annealStartTemp;
-        for (size_t step = 0; step < steps; ++step) {
-            const double temp =
-                cfg_.annealStartTemp *
-                std::pow(t_ratio, static_cast<double>(step) /
-                                      static_cast<double>(steps - 1));
-
-            // Single-axis proposal: +-1 on one digit, reflecting at
-            // the axis ends. Axes of size 1 propose nothing.
-            std::vector<size_t> digits = space_.decode(current);
-            const size_t axis = static_cast<size_t>(
-                rng.uniformInt(HwConfigSpace::kAxes));
-            const size_t radix = space_.axisSize(axis);
-            if (radix < 2)
-                continue;
-            const bool up = rng.uniform() < 0.5;
-            const size_t d = digits[axis];
-            if (d == 0)
-                digits[axis] = 1;
-            else if (d == radix - 1)
-                digits[axis] = radix - 2;
-            else
-                digits[axis] = up ? d + 1 : d - 1;
-
-            const size_t idx = space_.encode(digits);
-            if (!space_.valid(idx))
-                continue;
-            const double s = score(priced(idx).obj);
-            const bool accept =
-                s < currentScore ||
-                rng.uniform() <
-                    std::exp((currentScore - s) /
-                             std::max(temp, 1e-12));
-            if (accept) {
-                current = idx;
-                currentScore = s;
-            }
-        }
-
-        perChain[c].reserve(seen.size());
-        for (auto &[idx, p] : seen)
-            perChain[c].push_back(std::move(p));
-    });
-
-    std::vector<DsePoint> points;
-    for (auto &chain : perChain)
-        points.insert(points.end(),
-                      std::make_move_iterator(chain.begin()),
-                      std::make_move_iterator(chain.end()));
-    return finish("anneal", cfg_.seed, std::move(points), t0);
 }
 
 } // namespace vitcod::dse

@@ -16,10 +16,10 @@
  * bandwidth and the pipeline FIFO/latency knobs — the only swept
  * knobs outside HardwareParams) re-price a cached schedule instead
  * of rebuilding it. Point evaluations are
- * independent and fan out over the engine ThreadPool; every search
- * algorithm is bitwise deterministic in (bundle, space, config) —
- * guided search draws from a seeded vitcod::Rng and results never
- * depend on thread scheduling.
+ * independent and fan out over the engine ThreadPool; the search is
+ * exhaustive, so its frontier is exact for the space and bitwise
+ * deterministic in (bundle, space, simMode) — it never depends on
+ * the thread count or on thread scheduling.
  */
 
 #ifndef VITCOD_DSE_EXPLORER_H
@@ -38,25 +38,11 @@
 
 namespace vitcod::dse {
 
-/** Search knobs of one Explorer instance. */
+/** Knobs of one Explorer instance. */
 struct ExplorerConfig
 {
     /** Worker threads for point fan-out; 0 = shared engine pool. */
     size_t threads = 0;
-
-    /** Seed of the guided-search RNG (annealing proposals). */
-    uint64_t seed = 1;
-
-    /** @name Simulated annealing
-     *  @{ */
-    size_t annealChains = 4;  //!< independent restarts
-    size_t annealSteps = 120; //!< proposals per chain
-    double annealStartTemp = 0.25; //!< of the scalarized score
-    double annealEndTemp = 0.005;  //!< geometric schedule endpoint
-    /** @} */
-
-    /** Max full axis sweeps of coordinate descent. */
-    size_t descentSweeps = 6;
 
     /**
      * Simulator that prices every candidate (objective mode).
@@ -66,16 +52,6 @@ struct ExplorerConfig
      * schedules are shared across the new axes either way.
      */
     sim::SimMode simMode = sim::SimMode::Analytic;
-
-    /** @name Scalarization weights (guided-search acceptance only)
-     * Objectives are normalized by the base configuration's values,
-     * so weights compare dimensionless ratios. The frontier itself
-     * is always the full multi-objective non-dominated set.
-     *  @{ */
-    double latencyWeight = 1.0;
-    double energyWeight = 0.25;
-    double areaWeight = 0.5;
-    /** @} */
 };
 
 /** Outcome of one search run. */
@@ -124,7 +100,7 @@ class Explorer
     /**
      * Price @p cfg against the whole bundle: weighted sums of the
      * simulated latency and energy plus the configuration's area
-     * proxy. Shares the schedule memo with the searches, so probing
+     * proxy. Shares the schedule memo with the search, so probing
      * the base configuration (or any external candidate) is cheap.
      */
     Objectives evaluateConfig(const accel::ViTCoDConfig &cfg) const;
@@ -139,26 +115,6 @@ class Explorer
      */
     DseResult exhaustive();
 
-    /**
-     * Greedy coordinate descent from the point nearest the base
-     * configuration: sweep one axis at a time (all candidate values
-     * of that axis evaluated in parallel), move to the best
-     * scalarized score, and stop after a full pass without
-     * improvement (or cfg.descentSweeps passes). Evaluates a small
-     * fraction of the grid; the frontier contains every point it
-     * priced.
-     */
-    DseResult coordinateDescent();
-
-    /**
-     * Simulated annealing: cfg.annealChains independent chains of
-     * cfg.annealSteps single-axis proposals each, Metropolis
-     * acceptance on the scalarized score under a geometric
-     * temperature schedule, chain c seeded from (cfg.seed, c).
-     * Deterministic in the seed; chains run in parallel.
-     */
-    DseResult anneal();
-
   private:
     struct Workload; //!< spec + built ModelPlan
 
@@ -166,16 +122,9 @@ class Explorer
     std::shared_ptr<const core::schedule::ModelSchedule>
     scheduleFor(size_t w, const accel::ViTCoDConfig &cfg) const;
 
-    /** Scalarized score of @p obj relative to the baseline. */
-    double score(const Objectives &obj) const;
-
     /** Deterministic fan-out over [0, n) on the configured pool. */
     void parallelOver(size_t n,
                       const std::function<void(size_t)> &fn) const;
-
-    /** Assemble a DseResult from evaluated points, in index order. */
-    DseResult finish(const std::string &algorithm, uint64_t seed,
-                     std::vector<DsePoint> points, double t0) const;
 
     std::vector<WorkloadSpec> specs_;
     std::vector<Workload> workloads_;

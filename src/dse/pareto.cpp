@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -127,6 +127,10 @@ namespace {
 constexpr const char *kFormat = "vitcod-dse-frontier";
 constexpr uint64_t kVersion = 1;
 
+/** Deepest array/object nesting the reader accepts (the format
+ *  itself nests three levels). */
+constexpr size_t kMaxDepth = 8;
+
 /** Shortest-exact double form (17 significant digits round-trip). */
 std::string
 numStr(double v)
@@ -155,7 +159,8 @@ writeEscaped(std::ostream &os, const std::string &s)
 /**
  * Minimal JSON document model for reading frontier files back —
  * objects, arrays, strings, numbers and booleans; numbers keep
- * their source token so integers up to 64 bits parse exactly.
+ * their source token so integers up to 64 bits parse exactly, and
+ * a token parses only if it is one number from end to end.
  */
 struct JsonValue
 {
@@ -178,17 +183,14 @@ struct JsonValue
     double
     asDouble() const
     {
-        VITCOD_ASSERT(kind == Kind::Number,
-                      "dse frontier parse error: expected number");
-        return std::strtod(text.c_str(), nullptr);
+        return parsed<double>();
     }
 
+    /** Rejects a sign, overflow and anything but decimal digits. */
     uint64_t
     asU64() const
     {
-        VITCOD_ASSERT(kind == Kind::Number,
-                      "dse frontier parse error: expected number");
-        return std::strtoull(text.c_str(), nullptr, 10);
+        return parsed<uint64_t>();
     }
 
     bool
@@ -205,6 +207,22 @@ struct JsonValue
         VITCOD_ASSERT(kind == Kind::String,
                       "dse frontier parse error: expected string");
         return text;
+    }
+
+  private:
+    template <typename T>
+    T
+    parsed() const
+    {
+        VITCOD_ASSERT(kind == Kind::Number,
+                      "dse frontier parse error: expected number");
+        T out{};
+        const char *end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+        VITCOD_ASSERT(ec == std::errc() && ptr == end,
+                      "dse frontier parse error: bad number '", text,
+                      "'");
+        return out;
     }
 };
 
@@ -259,10 +277,14 @@ class JsonParser
     value()
     {
         const char c = peek();
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
+        if (c == '{' || c == '[') {
+            VITCOD_ASSERT(depth_ < kMaxDepth,
+                          "dse frontier parse error: nesting too deep");
+            ++depth_;
+            JsonValue v = c == '{' ? object() : array();
+            --depth_;
+            return v;
+        }
         if (c == '"') {
             JsonValue v;
             v.kind = JsonValue::Kind::String;
@@ -307,11 +329,15 @@ class JsonParser
                               "dse frontier parse error: bad escape");
                 const char e = src_[pos_++];
                 if (e == 'u') {
-                    VITCOD_ASSERT(pos_ + 4 <= src_.size(),
+                    unsigned code = 0;
+                    const char *hex = src_.data() + pos_;
+                    const char *end =
+                        hex + std::min<size_t>(4, src_.size() - pos_);
+                    const auto [ptr, ec] =
+                        std::from_chars(hex, end, code, 16);
+                    VITCOD_ASSERT(ec == std::errc() && ptr == hex + 4,
                                   "dse frontier parse error: bad \\u");
-                    const auto code = static_cast<char>(std::strtoul(
-                        src_.substr(pos_, 4).c_str(), nullptr, 16));
-                    out.push_back(code);
+                    out.push_back(static_cast<char>(code));
                     pos_ += 4;
                 } else {
                     out.push_back(e);
@@ -388,6 +414,7 @@ class JsonParser
 
     std::string src_;
     size_t pos_ = 0;
+    size_t depth_ = 0; //!< open arrays/objects around pos_
 };
 
 } // namespace
@@ -398,10 +425,10 @@ ParetoFrontier::writeJson(std::ostream &os) const
     os << "{\n";
     os << "  \"format\": \"" << kFormat << "\",\n";
     os << "  \"version\": " << kVersion << ",\n";
-    os << "  \"algorithm\": ";
-    writeEscaped(os, algorithm);
-    os << ",\n";
-    os << "  \"seed\": " << seed << ",\n";
+    // Format v1 provenance keys: the explorer's one search is
+    // exhaustive and unseeded.
+    os << "  \"algorithm\": \"exhaustive\",\n";
+    os << "  \"seed\": 0,\n";
     os << "  \"evaluated\": " << evaluated << ",\n";
     os << "  \"workloads\": [";
     for (size_t i = 0; i < workloads.size(); ++i) {
@@ -456,9 +483,9 @@ ParetoFrontier::readJson(std::istream &is)
     VITCOD_ASSERT(doc.at("version").asU64() == kVersion,
                   "dse frontier parse error: unsupported version");
 
+    // "algorithm" and "seed" are provenance only and ignored, so v1
+    // files written by any search load.
     ParetoFrontier f;
-    f.algorithm = doc.at("algorithm").asString();
-    f.seed = doc.at("seed").asU64();
     f.evaluated = doc.at("evaluated").asU64();
     for (const JsonValue &wv : doc.at("workloads").items) {
         WorkloadSpec w;

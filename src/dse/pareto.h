@@ -98,8 +98,8 @@ struct DsePoint
  * The set of mutually non-dominated evaluated points, kept sorted
  * by (latency, area, energy, index) so every serialization and
  * comparison is deterministic. Also carries the provenance metadata
- * written into result files: the workload bundle, the search
- * algorithm, its seed and how many unique points it priced.
+ * written into result files: the workload bundle and how many
+ * unique points the search priced.
  */
 class ParetoFrontier
 {
@@ -107,8 +107,6 @@ class ParetoFrontier
     /** @name Provenance metadata (serialized, golden-compared)
      *  @{ */
     std::vector<WorkloadSpec> workloads;
-    std::string algorithm; //!< "exhaustive" / "coordinate" / "anneal"
-    uint64_t seed = 0;     //!< guided-search RNG seed (0: none)
     uint64_t evaluated = 0; //!< unique design points priced
     /** @} */
 

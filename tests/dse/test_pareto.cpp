@@ -3,13 +3,15 @@
  * Pareto-frontier tests: dominance semantics, the non-dominated-set
  * invariant under any insertion order, deterministic sorting, exact
  * JSON round-trips (metadata, workloads, 17-digit doubles), CSV
- * shape, and parser rejection of malformed documents.
+ * shape, and parser rejection of malformed documents (bad numbers,
+ * bad escapes, runaway nesting).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "dse/pareto.h"
 #include "support/temp_path.h"
@@ -25,6 +27,35 @@ point(size_t index, double lat, double energy, double area)
     p.hw.macLines = 32 + index;
     p.obj = {lat, energy, area};
     return p;
+}
+
+/** A valid one-frontier-point result file. */
+ParetoFrontier
+onePoint()
+{
+    ParetoFrontier f;
+    f.workloads = {{"DeiT-Tiny", 0.9, true, false, 1.0}};
+    f.insert(point(1, 1.0, 1.0, 1.0));
+    return f;
+}
+
+std::string
+json(const ParetoFrontier &f)
+{
+    std::stringstream ss;
+    f.writeJson(ss);
+    return ss.str();
+}
+
+/** @p doc with @p from replaced by @p to. */
+std::string
+tampered(const std::string &from, const std::string &to,
+         std::string doc = json(onePoint()))
+{
+    const size_t at = doc.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? doc
+                                   : doc.replace(at, from.size(), to);
 }
 
 TEST(Dominance, StrictOnAtLeastOneObjective)
@@ -97,8 +128,6 @@ TEST(ParetoFrontier, DuplicatePointIsRejected)
 TEST(ParetoJson, RoundTripsExactly)
 {
     ParetoFrontier f;
-    f.algorithm = "anneal";
-    f.seed = 42;
     f.evaluated = 17;
     f.workloads = {{"DeiT-Tiny", 0.9, true, false, 1.0},
                    {"LeViT-128", 0.8, false, true, 1.0 / 3.0}};
@@ -124,12 +153,22 @@ TEST(ParetoJson, RoundTripsExactly)
 TEST(ParetoJson, EmptyFrontierRoundTrips)
 {
     ParetoFrontier f;
-    f.algorithm = "exhaustive";
     std::stringstream ss;
     f.writeJson(ss);
     const ParetoFrontier back = ParetoFrontier::readJson(ss);
     EXPECT_EQ(back, f);
     EXPECT_TRUE(back.points().empty());
+}
+
+TEST(ParetoJson, IgnoresProvenanceKeys)
+{
+    // Version-1 files from other writers carry a different algorithm
+    // name and seed; both are provenance only.
+    std::stringstream ss(tampered(
+        "\"seed\": 0", "\"seed\": 42",
+        tampered("\"algorithm\": \"exhaustive\"",
+                 "\"algorithm\": \"coordinate\"")));
+    EXPECT_EQ(ParetoFrontier::readJson(ss), onePoint());
 }
 
 TEST(ParetoJson, RejectsGarbage)
@@ -142,6 +181,31 @@ TEST(ParetoJson, RejectsGarbage)
         "{\"format\": \"something-else\", \"version\": 1}");
     EXPECT_DEATH((void)ParetoFrontier::readJson(wrong_tag),
                  "format");
+
+    // Numbers must be one number from end to end; unsigned fields
+    // take neither a sign nor an overflowing value.
+    const auto rejects = [](const std::string &doc,
+                            const std::string &why) {
+        std::stringstream ss(doc);
+        EXPECT_DEATH((void)ParetoFrontier::readJson(ss), why)
+            << doc.substr(0, 200);
+    };
+    rejects(tampered("\"mac_lines\": 33", "\"mac_lines\": -1"),
+            "bad number");
+    rejects(tampered("\"mac_lines\": 33", "\"mac_lines\": 12-3"),
+            "bad number");
+    rejects(tampered("\"mac_lines\": 33",
+                     "\"mac_lines\": 18446744073709551616"),
+            "bad number");
+    rejects(tampered("\"latency_s\": 1", "\"latency_s\": --"),
+            "bad number");
+
+    // A \u escape needs four hex digits.
+    rejects(tampered("\"DeiT-Tiny\"", "\"DeiT\\u00zz\""), "bad .u");
+    rejects(tampered("\"DeiT-Tiny\"", "\"DeiT\\u-001\""), "bad .u");
+
+    // Deep nesting fails cleanly instead of exhausting the stack.
+    rejects(std::string(1000000, '['), "nesting too deep");
 }
 
 TEST(ParetoCsv, OneHeaderOneRowPerPoint)

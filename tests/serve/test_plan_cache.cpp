@@ -151,7 +151,6 @@ TEST(PlanCache, TunedConfigHookPricesPlansOnTunedHardware)
     // Write a one-point DSE frontier and let the hook apply its
     // best-latency point onto the default hardware config.
     dse::ParetoFrontier f;
-    f.algorithm = "exhaustive";
     f.evaluated = 1;
     dse::DsePoint p;
     p.hw.macLines = 128;
