@@ -3,25 +3,26 @@
  * Serving throughput–latency curves plus the production soak
  * harness.
  *
- * Default mode sweeps scheduler policy (fifo / bucketed / priority /
- * continuous) x backend mix (homogeneous ViTCoD pool vs
+ * Default mode sweeps backend mix (homogeneous ViTCoD pool vs
  * heterogeneous ViTCoD+CPU) x offered Poisson arrival rate, serving
  * a fixed two-task mix (DeiT-Tiny @ 90%, LeViT-128 @ 80%) through a
- * 4-worker pool each time. Reports wall-clock latency percentiles,
- * offered vs completion throughput, batch sizes, plan-switch counts
- * and plan-cache behavior — one human table plus one JSON row per
- * configuration (machine-readable, for BENCH_*.json trajectories).
+ * 4-worker continuous-batching pool each time. Reports wall-clock
+ * latency percentiles, offered vs completion throughput, batch
+ * sizes, plan-switch counts and plan-cache behavior — one human
+ * table plus one JSON row per configuration (machine-readable, for
+ * BENCH_*.json trajectories).
  *
  * --soak switches to the overload soak harness: a bursty
  * (Markov-modulated) trace at 2x the pool's wall-clock capacity —
  * workers are paced to real time via ServerConfig::realtimeFactor —
- * driven through (a) the SLO-aware continuous-batching server with
- * admission control and (b) a fifo server with admission off, on
- * the same trace. Reports sustained QPS, admitted-request
- * p50/p95/p99, shed rate and queue depth; the full run offers
- * >= 10^6 requests, --smoke a CI-sized slice whose "slo" row is
- * gated in perf-smoke CI (bench/baselines/serving_soak_baseline
- * .json). See docs/SERVING.md.
+ * driven through the same continuous-batching server (a) with SLO
+ * admission control ("slo") and (b) with admission off
+ * ("no_admission"), on the same trace. Reports sustained QPS,
+ * admitted-request p50/p95/p99, shed rate and queue depth; the full
+ * run offers >= 10^6 requests, --smoke a CI-sized slice whose "slo"
+ * row is gated in perf-smoke CI
+ * (bench/baselines/serving_soak_baseline.json). See
+ * docs/SERVING.md.
  *
  * Flags: --soak, --seed N, --json, --smoke.
  */
@@ -73,10 +74,11 @@ runSoak(const bench::CliOptions &opts)
     const double sloSimSeconds = 20.0 * service;
 
     const size_t kRequests = opts.smoke ? 30'000 : 1'200'000;
-    // The fifo contrast run has no shedding, so at 2x overload its
-    // drain tail costs as much wall time again as the submit window;
-    // cap it so the full soak stays dominated by the gated run.
-    const size_t kFifoRequests =
+    // The no-admission contrast run has no shedding, so at 2x
+    // overload its drain tail costs as much wall time again as the
+    // submit window; cap it so the full soak stays dominated by the
+    // gated run.
+    const size_t kOpenRequests =
         std::min<size_t>(kRequests, 100'000);
 
     if (!opts.json) {
@@ -88,7 +90,7 @@ runSoak(const bench::CliOptions &opts)
                     capacityRps, kWorkers,
                     kTargetServiceSeconds * 1e6,
                     capacityRps * kOverload);
-        std::printf("%-6s %9s %10s %9s %8s %8s %8s %7s %10s\n",
+        std::printf("%-12s %9s %10s %9s %8s %8s %8s %7s %10s\n",
                     "mode", "requests", "sustained", "offered",
                     "p50 ms", "p95 ms", "p99 ms", "shed%",
                     "max depth");
@@ -102,25 +104,18 @@ runSoak(const bench::CliOptions &opts)
     };
     const std::vector<Shape> shapes = {
         {"slo", true, kRequests},
-        {"fifo", false, kFifoRequests},
+        {"no_admission", false, kOpenRequests},
     };
 
     for (const Shape &shape : shapes) {
         serve::ServerConfig cfg;
         cfg.backends.assign(kWorkers, "ViTCoD");
         cfg.realtimeFactor = factor;
-        if (shape.slo) {
-            cfg.scheduler.policy =
-                serve::SchedulerPolicy::Continuous;
-            cfg.scheduler.maxBatch = 8;
-            cfg.scheduler.maxWaitSeconds = 5e-3;
-            cfg.admission.enabled = true;
-            cfg.admission.defaultSloSeconds = sloSimSeconds;
-            cfg.admission.shedMultiplier = 2.0;
-        } else {
-            cfg.scheduler.policy = serve::SchedulerPolicy::Fifo;
-            cfg.scheduler.maxBatch = 8;
-        }
+        cfg.scheduler.maxBatch = 8;
+        cfg.scheduler.maxWaitSeconds = 5e-3;
+        cfg.admission.enabled = shape.slo;
+        cfg.admission.defaultSloSeconds = sloSimSeconds;
+        cfg.admission.shedMultiplier = 2.0;
 
         serve::InferenceServer server(cfg);
 
@@ -139,7 +134,7 @@ runSoak(const bench::CliOptions &opts)
         const serve::StatsSnapshot s = server.snapshot();
 
         if (!opts.json)
-            std::printf("%-6s %9zu %10.0f %9.0f %8.3f %8.3f "
+            std::printf("%-12s %9zu %10.0f %9.0f %8.3f %8.3f "
                         "%8.3f %6.1f%% %10.0f\n",
                         shape.label, shape.requests,
                         rep.completionRps, rep.offeredRps,
@@ -198,97 +193,75 @@ main(int argc, char **argv)
         {"4xViTCoD", {"ViTCoD", "ViTCoD", "ViTCoD", "ViTCoD"}},
         {"2xViTCoD+2xCPU", {"ViTCoD", "ViTCoD", "CPU", "CPU"}},
     };
-    std::vector<serve::SchedulerPolicy> policies = {
-        serve::SchedulerPolicy::Fifo,
-        serve::SchedulerPolicy::SizeBucketed,
-        serve::SchedulerPolicy::Priority,
-        serve::SchedulerPolicy::Continuous,
-    };
     std::vector<double> rates = {1000, 2000, 4000};
     size_t kRequests = 500;
     if (opts.smoke) { // one curve point, small trace
         mixes.resize(1);
-        policies = {serve::SchedulerPolicy::Continuous};
         rates = {2000};
         kRequests = 100;
     }
 
     if (!opts.json)
-        std::printf("%-16s %-11s %7s %9s %8s %8s %8s %7s %9s\n",
-                    "backends", "policy", "rate/s", "complete",
-                    "p50 ms", "p95 ms", "p99 ms", "batch",
-                    "switches");
+        std::printf("%-16s %7s %9s %8s %8s %8s %7s %9s\n",
+                    "backends", "rate/s", "complete", "p50 ms",
+                    "p95 ms", "p99 ms", "batch", "switches");
 
     for (const Mix &mix : mixes) {
-        for (const auto policy : policies) {
-            for (const double rate : rates) {
-                serve::ServerConfig cfg;
-                cfg.backends = mix.backends;
-                cfg.scheduler.policy = policy;
-                cfg.scheduler.maxBatch = 8;
-                cfg.scheduler.maxWaitSeconds = 2e-3;
+        for (const double rate : rates) {
+            serve::ServerConfig cfg;
+            cfg.backends = mix.backends;
+            cfg.scheduler.maxBatch = 8;
+            cfg.scheduler.maxWaitSeconds = 2e-3;
 
-                serve::InferenceServer server(cfg);
+            serve::InferenceServer server(cfg);
 
-                serve::TrafficConfig traffic;
-                traffic.ratePerSec = rate;
-                traffic.requests = kRequests;
-                traffic.mix = {deit, levit};
-                traffic.mixWeights = {0.7, 0.3};
-                traffic.priorityLevels =
-                    policy == serve::SchedulerPolicy::Priority ? 3
-                                                               : 1;
-                traffic.seed = opts.seed;
+            serve::TrafficConfig traffic;
+            traffic.ratePerSec = rate;
+            traffic.requests = kRequests;
+            traffic.mix = {deit, levit};
+            traffic.mixWeights = {0.7, 0.3};
+            traffic.seed = opts.seed;
 
-                const serve::TrafficReport rep =
-                    serve::runTraffic(server, traffic);
-                const serve::StatsSnapshot s = server.snapshot();
-                const serve::PlanCache::Stats pc =
-                    server.planCacheStats();
+            const serve::TrafficReport rep =
+                serve::runTraffic(server, traffic);
+            const serve::StatsSnapshot s = server.snapshot();
+            const serve::PlanCache::Stats pc = server.planCacheStats();
 
-                uint64_t switches = 0;
-                double simBusy = 0;
-                for (const auto &b : s.backends) {
-                    switches += b.planSwitches;
-                    simBusy +=
-                        b.busySimSeconds + b.switchSimSeconds;
-                }
-
-                if (!opts.json)
-                    std::printf("%-16s %-11s %7.0f %9.0f %8.3f "
-                                "%8.3f %8.3f %7.2f %9llu\n",
-                                mix.label,
-                                serve::schedulerPolicyName(policy),
-                                rate, rep.completionRps,
-                                s.wallP50 * 1e3, s.wallP95 * 1e3,
-                                s.wallP99 * 1e3, s.meanBatchSize,
-                                static_cast<unsigned long long>(
-                                    switches));
-
-                bench::JsonRow()
-                    .set("bench", "serving")
-                    .set("backends", mix.label)
-                    .set("policy",
-                         serve::schedulerPolicyName(policy))
-                    .set("rate_rps", rate)
-                    .set("requests",
-                         static_cast<uint64_t>(kRequests))
-                    .set("offered_rps", rep.offeredRps)
-                    .set("completion_rps", rep.completionRps)
-                    .set("wall_p50_ms", s.wallP50 * 1e3)
-                    .set("wall_p95_ms", s.wallP95 * 1e3)
-                    .set("wall_p99_ms", s.wallP99 * 1e3)
-                    .set("queue_p95_ms", s.queueP95 * 1e3)
-                    .set("sim_p50_us", s.simP50 * 1e6)
-                    .set("mean_batch", s.meanBatchSize)
-                    .set("mean_queue_depth", s.meanQueueDepth)
-                    .set("plan_switches", switches)
-                    .set("sim_busy_s", simBusy)
-                    .set("energy_j", s.totalEnergyJoules)
-                    .set("cache_hit_rate", pc.hitRate())
-                    .set("seed", opts.seed)
-                    .print();
+            uint64_t switches = 0;
+            double simBusy = 0;
+            for (const auto &b : s.backends) {
+                switches += b.planSwitches;
+                simBusy += b.busySimSeconds + b.switchSimSeconds;
             }
+
+            if (!opts.json)
+                std::printf("%-16s %7.0f %9.0f %8.3f %8.3f %8.3f "
+                            "%7.2f %9llu\n",
+                            mix.label, rate, rep.completionRps,
+                            s.wallP50 * 1e3, s.wallP95 * 1e3,
+                            s.wallP99 * 1e3, s.meanBatchSize,
+                            static_cast<unsigned long long>(switches));
+
+            bench::JsonRow()
+                .set("bench", "serving")
+                .set("backends", mix.label)
+                .set("rate_rps", rate)
+                .set("requests", static_cast<uint64_t>(kRequests))
+                .set("offered_rps", rep.offeredRps)
+                .set("completion_rps", rep.completionRps)
+                .set("wall_p50_ms", s.wallP50 * 1e3)
+                .set("wall_p95_ms", s.wallP95 * 1e3)
+                .set("wall_p99_ms", s.wallP99 * 1e3)
+                .set("queue_p95_ms", s.queueP95 * 1e3)
+                .set("sim_p50_us", s.simP50 * 1e6)
+                .set("mean_batch", s.meanBatchSize)
+                .set("mean_queue_depth", s.meanQueueDepth)
+                .set("plan_switches", switches)
+                .set("sim_busy_s", simBusy)
+                .set("energy_j", s.totalEnergyJoules)
+                .set("cache_hit_rate", pc.hitRate())
+                .set("seed", opts.seed)
+                .print();
         }
     }
     return 0;

@@ -1,13 +1,13 @@
 /**
  * @file
  * Serving quickstart: a heterogeneous 4-worker pool (2x the ViTCoD
- * accelerator + 2x the CPU platform model) behind a size-bucketed
- * batch scheduler, under open-loop Poisson traffic mixing two tasks
- * (DeiT-Small @ 90% sparsity, LeViT-128 @ 80%). The load generator
- * sweeps arrival rates with a fresh server per rate (so each row's
- * percentiles cover only that rate's samples) and reports wall-clock
- * p50/p95/p99 latency, throughput, batch sizes, plan-cache hit rate
- * and per-backend utilization.
+ * accelerator + 2x the CPU platform model) behind the default
+ * continuous-batching scheduler, under open-loop Poisson traffic
+ * mixing two tasks (DeiT-Small @ 90% sparsity, LeViT-128 @ 80%).
+ * The load generator sweeps arrival rates with a fresh server per
+ * rate (so each row's percentiles cover only that rate's samples)
+ * and reports wall-clock p50/p95/p99 latency, throughput, batch
+ * sizes, plan-cache hit rate and per-backend utilization.
  *
  * With `--trace=FILE` the last swept rate runs with the telemetry
  * layer recording: one worker is the real-execution ModelExec
@@ -51,13 +51,10 @@ main(int argc, char **argv)
 
     serve::ServerConfig cfg;
     cfg.backends = {"ViTCoD", "ViTCoD", "CPU", "CPU"};
-    cfg.scheduler.policy = serve::SchedulerPolicy::SizeBucketed;
-    cfg.scheduler.maxBatch = 8;
-    cfg.scheduler.maxWaitSeconds = 2e-3;
 
     std::printf("serve_traffic: %zu workers (2x ViTCoD + 2x CPU), "
-                "policy=bucketed maxBatch=8 maxWait=2ms\n",
-                cfg.backends.size());
+                "policy=continuous maxBatch=%zu\n",
+                cfg.backends.size(), cfg.scheduler.maxBatch);
     std::printf("traffic mix: 70%% %s + 30%% %s, open-loop Poisson, "
                 "fresh server per rate\n\n",
                 deit.str().c_str(), levit.str().c_str());

@@ -25,11 +25,11 @@
  *     predictedExit <= slo * shedMultiplier -> Deprioritize
  *     otherwise                             -> Shed
  *
- * Deprioritized requests are admitted but demoted: the Priority
- * policy serves them after on-SLO traffic, and the other policies
- * (Continuous, which the soak and serve_burst run, Fifo and
- * SizeBucketed) ignore priority, so there the demotion changes no
- * order and only shows in the counters. Shed requests never enter
+ * Deprioritized requests are admitted and counted
+ * (vitcod_serve_requests_deprioritized_total) but served like any
+ * other request: continuous batching has no per-request order to
+ * demote them in, so the grace band is an observable early warning
+ * that the pool is running past its SLO. Shed requests never enter
  * the queue. All quantities are in the simEstimate clock
  * domain (simulated device seconds); when the server throttles
  * workers to real time (ServerConfig::realtimeFactor) the same
@@ -79,13 +79,11 @@ struct AdmissionConfig
 
     /**
      * Grace band: requests predicted to exit within
-     * [slo, slo * shedMultiplier] are admitted but deprioritized
-     * instead of shed. 1.0 disables the band (admit-or-shed).
+     * [slo, slo * shedMultiplier] are admitted and counted as
+     * deprioritized instead of shed. 1.0 disables the band
+     * (admit-or-shed).
      */
     double shedMultiplier = 2.0;
-
-    /** Priority demotion applied to deprioritized requests. */
-    int deprioritizeDelta = 1;
 };
 
 /**

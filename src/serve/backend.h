@@ -12,7 +12,8 @@
  *  - switching a backend between plans pays the plan's
  *    weightLoadSeconds (stream the new model's weights), which is
  *    what makes same-plan batching profitable in simulated time and
- *    differentiates scheduler policies under mixed traffic.
+ *    rewards the scheduler's resident-plan affinity under mixed
+ *    traffic.
  *
  * A backend instance is owned by exactly one worker thread, so it
  * keeps no locks; all cross-thread sharing happens through the

@@ -1,46 +1,11 @@
 #include "serve/batch_scheduler.h"
 
-#include <algorithm>
 #include <chrono>
-#include <limits>
-#include <unordered_map>
+#include <cstddef>
 
 #include "common/logging.h"
 
 namespace vitcod::serve {
-
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-} // namespace
-
-SchedulerPolicy
-schedulerPolicyByName(const std::string &name)
-{
-    if (name == "fifo")
-        return SchedulerPolicy::Fifo;
-    if (name == "bucketed")
-        return SchedulerPolicy::SizeBucketed;
-    if (name == "priority")
-        return SchedulerPolicy::Priority;
-    if (name == "continuous")
-        return SchedulerPolicy::Continuous;
-    fatal("unknown scheduler policy '", name,
-          "' (expected fifo|bucketed|priority|continuous)");
-}
-
-const char *
-schedulerPolicyName(SchedulerPolicy p)
-{
-    switch (p) {
-    case SchedulerPolicy::Fifo: return "fifo";
-    case SchedulerPolicy::SizeBucketed: return "bucketed";
-    case SchedulerPolicy::Priority: return "priority";
-    case SchedulerPolicy::Continuous: return "continuous";
-    }
-    return "?";
-}
 
 BatchScheduler::BatchScheduler(SchedulerConfig cfg) : cfg_(std::move(cfg))
 {
@@ -69,124 +34,31 @@ BatchScheduler::submit(InferenceRequest req)
 std::vector<InferenceRequest>
 BatchScheduler::takeMatching(const PlanKey &key, size_t limit)
 {
+    std::vector<size_t> at; // queue positions taken, ascending
+    for (size_t r = 0; r < queue_.size() && at.size() < limit; ++r)
+        if (queue_[r].key == key)
+            at.push_back(r);
+
     std::vector<InferenceRequest> taken;
-    size_t w = 0;
-    for (size_t r = 0; r < queue_.size(); ++r) {
-        if (taken.size() < limit && queue_[r].key == key) {
-            taken.push_back(std::move(queue_[r]));
-        } else {
-            if (w != r)
-                queue_[w] = std::move(queue_[r]);
-            ++w;
-        }
-    }
-    queue_.resize(w);
-    return taken;
-}
+    taken.reserve(at.size());
+    for (size_t r : at)
+        taken.push_back(std::move(queue_[r]));
 
-std::optional<Batch>
-BatchScheduler::formFifo(double now)
-{
-    if (queue_.empty())
-        return std::nullopt;
-    Batch b;
-    b.key = queue_.front().key;
-    b.formedSeconds = now;
-    while (!queue_.empty() && b.requests.size() < cfg_.maxBatch &&
-           queue_.front().key == b.key) {
-        b.requests.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-    }
-    return b;
-}
-
-std::optional<Batch>
-BatchScheduler::formBucketed(double now, bool flush)
-{
-    if (queue_.empty())
-        return std::nullopt;
-
-    struct Bucket
-    {
-        size_t count = 0;
-        double oldest = kInf;
-        const PlanKey *key = nullptr;
-    };
-    std::unordered_map<std::string, Bucket> buckets;
-    for (const auto &r : queue_) {
-        Bucket &bk = buckets[r.key.str()];
-        ++bk.count;
-        bk.oldest = std::min(bk.oldest, r.submitSeconds);
-        bk.key = &r.key;
-    }
-
-    const PlanKey *pick = nullptr;
-    double pickOldest = kInf;
-    for (const auto &[ks, bk] : buckets) {
-        const bool ready = flush || bk.count >= cfg_.maxBatch ||
-                           now - bk.oldest >= cfg_.maxWaitSeconds;
-        if (ready && bk.oldest < pickOldest) {
-            pickOldest = bk.oldest;
-            pick = bk.key;
-        }
-    }
-    if (!pick)
-        return std::nullopt;
-
-    Batch b;
-    b.key = *pick;
-    b.formedSeconds = now;
-    b.requests = takeMatching(b.key, cfg_.maxBatch);
-    return b;
-}
-
-std::optional<Batch>
-BatchScheduler::formPriority(double now)
-{
-    if (queue_.empty())
-        return std::nullopt;
-
-    // Leader: highest priority, ties broken by arrival order.
-    size_t leader = 0;
-    for (size_t i = 1; i < queue_.size(); ++i)
-        if (queue_[i].priority > queue_[leader].priority)
-            leader = i;
-
-    Batch b;
-    b.key = queue_[leader].key;
-    b.formedSeconds = now;
-
-    // Members: same plan as the leader, highest priority first
-    // (stable on arrival order), up to maxBatch.
-    std::vector<size_t> members;
-    for (size_t i = 0; i < queue_.size(); ++i)
-        if (queue_[i].key == b.key)
-            members.push_back(i);
-    std::stable_sort(members.begin(), members.end(),
-                     [this](size_t a, size_t c) {
-                         return queue_[a].priority > queue_[c].priority;
-                     });
-    if (members.size() > cfg_.maxBatch)
-        members.resize(cfg_.maxBatch);
-
-    // Move the selected requests out in priority order, then compact
-    // the survivors in one pass: O(n) moves, zero request copies.
-    std::vector<char> selected(queue_.size(), 0);
-    b.requests.reserve(members.size());
-    for (size_t idx : members) {
-        b.requests.push_back(std::move(queue_[idx]));
-        selected[idx] = 1;
-    }
-    size_t w = 0;
-    for (size_t r = 0; r < queue_.size(); ++r) {
-        if (selected[r])
+    // Only [0, at.back()] has holes: slide its kept requests to the
+    // back of that prefix (order preserved), then drop the freed
+    // front slots, which a deque does in O(holes).
+    size_t w = at.empty() ? 0 : at.back() + 1;
+    for (size_t r = w, k = at.size(); r-- > 0;) {
+        if (k > 0 && at[k - 1] == r) {
+            --k;
             continue;
-        if (w != r)
+        }
+        if (--w != r)
             queue_[w] = std::move(queue_[r]);
-        ++w;
     }
-    queue_.resize(w);
-    return b;
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(at.size()));
+    return taken;
 }
 
 std::optional<Batch>
@@ -217,67 +89,21 @@ BatchScheduler::formContinuous(double now, const PlanKey *affinity)
 }
 
 std::optional<Batch>
-BatchScheduler::formBatch(double now, bool flush,
-                          const PlanKey *affinity)
-{
-    switch (cfg_.policy) {
-    case SchedulerPolicy::Fifo: return formFifo(now);
-    case SchedulerPolicy::SizeBucketed: return formBucketed(now, flush);
-    case SchedulerPolicy::Priority: return formPriority(now);
-    case SchedulerPolicy::Continuous:
-        return formContinuous(now, affinity);
-    }
-    return std::nullopt;
-}
-
-double
-BatchScheduler::nextDeadline() const
-{
-    if (cfg_.policy != SchedulerPolicy::SizeBucketed || queue_.empty())
-        return kInf;
-    std::unordered_map<std::string, double> oldest;
-    for (const auto &r : queue_) {
-        auto [it, fresh] = oldest.try_emplace(r.key.str(),
-                                              r.submitSeconds);
-        if (!fresh)
-            it->second = std::min(it->second, r.submitSeconds);
-    }
-    double dl = kInf;
-    for (const auto &[k, t] : oldest)
-        dl = std::min(dl, t + cfg_.maxWaitSeconds);
-    return dl;
-}
-
-std::optional<Batch>
 BatchScheduler::nextBatch(const PlanKey *affinity)
 {
     std::lock_guard<std::mutex> g(lock_);
-    return formBatch(cfg_.clock(), stopped_, affinity);
+    return formContinuous(cfg_.clock(), affinity);
 }
 
 std::optional<Batch>
 BatchScheduler::waitBatch(const PlanKey *affinity)
 {
     std::unique_lock<std::mutex> g(lock_);
-    for (;;) {
-        auto b = formBatch(cfg_.clock(), stopped_, affinity);
-        if (b) {
-            if (!queue_.empty())
-                cv_.notify_one();
-            return b;
-        }
-        if (stopped_ && queue_.empty())
-            return std::nullopt;
-
-        const double dl = nextDeadline();
-        if (dl == kInf) {
-            cv_.wait(g);
-        } else {
-            const double remain = dl - cfg_.clock();
-            if (remain > 0)
-                cv_.wait_for(g, std::chrono::duration<double>(remain));
-        }
-    }
+    cv_.wait(g, [this] { return stopped_ || !queue_.empty(); });
+    auto b = formContinuous(cfg_.clock(), affinity);
+    if (!queue_.empty())
+        cv_.notify_one();
+    return b;
 }
 
 void

@@ -1,32 +1,25 @@
 /**
  * @file
- * Request admission and batch formation. Incoming requests are
- * grouped into same-plan batches — only same-plan requests can share
- * a CompiledPlan and avoid a weight reload — under one of three
- * policies:
+ * Batch formation. Incoming requests are grouped into same-plan
+ * batches — only same-plan requests can share a CompiledPlan and
+ * avoid a weight reload — by one rule, continuous (in-flight)
+ * batching: a freed worker immediately pulls whatever is queued,
+ * preferring its *current* plan so the scheduler tops up an
+ * executing plan's next batch with requests that arrived while the
+ * previous one ran (no weight reload), and falling back to the
+ * oldest queued request's plan. A starvation guard bounds the
+ * affinity bias: once the head of the queue has waited longer than
+ * maxWaitSeconds, arrival order wins over plan affinity.
  *
- *  - Fifo: strict arrival order; a batch is the longest same-plan
- *    *prefix* of the queue (no reordering, lowest tail fairness
- *    risk, but mixed traffic yields small batches);
- *  - SizeBucketed: per-plan buckets dispatch when full (maxBatch) or
- *    when their oldest request has waited maxWaitSeconds (bounded
- *    staleness — the classic batching throughput/latency knob);
- *  - Priority: highest priority first (ties by arrival), batched
- *    with same-plan same-or-lower-priority requests;
- *  - Continuous: in-flight batching — a freed worker immediately
- *    pulls whatever is queued (never waits on a bucket boundary),
- *    preferring its *current* plan so the scheduler tops up an
- *    executing plan's next batch with requests that arrived while
- *    the previous one ran (no weight reload), and falling back to
- *    the oldest queued request's plan. A starvation guard bounds
- *    the affinity bias: once the head of the queue has waited
- *    longer than maxWaitSeconds, arrival order wins over plan
- *    affinity.
+ * A ViT's token count is fixed, so every request of a plan costs
+ * the same (the plan's simEstimate, priced once at compile time);
+ * there is nothing to gain from holding a lone request back to wait
+ * for company, and no per-request cost to order by.
  *
  * Time is injected through a clock callable so unit tests drive
  * batch formation deterministically; the server passes its epoch
  * wall clock. Workers block in waitBatch() on a condition variable
- * and are woken by submissions, deadline expiry, or stop().
+ * and are woken by submissions or stop().
  */
 
 #ifndef VITCOD_SERVE_BATCH_SCHEDULER_H
@@ -37,35 +30,35 @@
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "serve/request.h"
 
 namespace vitcod::serve {
 
-/** Batch formation policy. */
-enum class SchedulerPolicy { Fifo, SizeBucketed, Priority, Continuous };
-
 /**
- * Parse "fifo" / "bucketed" / "priority" / "continuous"; fatal()
- * otherwise.
+ * Batch formation policy. Continuous batching is the only one; the
+ * enum and SchedulerConfig::policy remain only because
+ * bench/suite/serve.cpp names them.
  */
-SchedulerPolicy schedulerPolicyByName(const std::string &name);
-
-/** Printable policy name. */
-const char *schedulerPolicyName(SchedulerPolicy p);
+enum class SchedulerPolicy { Continuous };
 
 struct SchedulerConfig
 {
-    SchedulerPolicy policy = SchedulerPolicy::SizeBucketed;
-    size_t maxBatch = 8;          //!< dispatch threshold and cap
-    double maxWaitSeconds = 2e-3; //!< bucket flush deadline
+    SchedulerPolicy policy = SchedulerPolicy::Continuous;
+    size_t maxBatch = 8; //!< batch size cap
 
     /**
-     * Time source for arrival stamps and deadlines; seconds on an
-     * arbitrary monotonic epoch. Defaults to wall time since
-     * scheduler construction.
+     * Starvation guard: once the oldest queued request has waited
+     * this long, it leads the next batch regardless of the calling
+     * worker's resident plan.
+     */
+    double maxWaitSeconds = 2e-3;
+
+    /**
+     * Time source for arrival stamps and the starvation guard;
+     * seconds on an arbitrary monotonic epoch. Defaults to wall
+     * time since scheduler construction.
      */
     std::function<double()> clock;
 };
@@ -88,18 +81,17 @@ class BatchScheduler
     void submit(InferenceRequest req);
 
     /**
-     * Form the next batch per policy, or nullopt when nothing is
-     * dispatchable right now. Non-blocking; deterministic given the
-     * injected clock. @p affinity is the calling worker's resident
-     * plan (nullptr = none); only the Continuous policy uses it.
+     * Form the next batch, or nullopt when the queue is empty.
+     * Non-blocking; deterministic given the injected clock.
+     * @p affinity is the calling worker's resident plan (nullptr =
+     * none).
      */
     std::optional<Batch> nextBatch(const PlanKey *affinity = nullptr);
 
     /**
-     * Block until a batch can be formed, a bucket deadline expires,
-     * or stop() drains the queue. Returns nullopt only when stopped
-     * *and* empty — pending requests are flushed out as batches
-     * first, ignoring deadlines. @p affinity as in nextBatch().
+     * Block until a batch can be formed. Returns nullopt only when
+     * stopped *and* empty — pending requests are drained as batches
+     * first. @p affinity as in nextBatch().
      */
     std::optional<Batch> waitBatch(const PlanKey *affinity = nullptr);
 
@@ -114,29 +106,17 @@ class BatchScheduler
     const SchedulerConfig &config() const { return cfg_; }
 
   private:
-    /** Policy dispatch; @p flush ignores bucket deadlines. */
-    std::optional<Batch> formBatch(double now, bool flush,
-                                   const PlanKey *affinity);
-
-    std::optional<Batch> formFifo(double now);
-    std::optional<Batch> formBucketed(double now, bool flush);
-    std::optional<Batch> formPriority(double now);
     std::optional<Batch> formContinuous(double now,
                                         const PlanKey *affinity);
 
     /**
      * Move up to @p limit requests of @p key out of the queue (in
-     * arrival order) and compact the remainder in the same single
-     * pass — O(n) moves, zero request copies.
+     * arrival order), zero request copies. Only the queue prefix
+     * scanned to find them is compacted, so a batch costs moves
+     * in that prefix, not in the whole (possibly deep) queue.
      */
     std::vector<InferenceRequest> takeMatching(const PlanKey &key,
                                                size_t limit);
-
-    /**
-     * Earliest bucket deadline, or +inf. Only meaningful for
-     * SizeBucketed; others dispatch eagerly.
-     */
-    double nextDeadline() const;
 
     SchedulerConfig cfg_;
 

@@ -11,8 +11,6 @@ namespace vitcod::serve {
 
 namespace {
 
-constexpr double kPi = 3.14159265358979323846;
-
 /** Exponential draw with mean 1/rate; uniform() in [0,1) keeps the
  *  log argument in (0, 1]. */
 double
@@ -75,58 +73,7 @@ markovArrivals(const TrafficConfig &cfg, Rng &rng)
     return t;
 }
 
-std::vector<double>
-diurnalArrivals(const TrafficConfig &cfg, Rng &rng)
-{
-    VITCOD_ASSERT(cfg.diurnalAmplitude >= 0 &&
-                      cfg.diurnalAmplitude < 1,
-                  "diurnalAmplitude must be in [0, 1)");
-    VITCOD_ASSERT(cfg.diurnalPeriodSeconds > 0,
-                  "diurnalPeriodSeconds must be positive");
-
-    // Lewis thinning against the peak-rate majorant.
-    const double peak = cfg.ratePerSec * (1.0 + cfg.diurnalAmplitude);
-    std::vector<double> t;
-    t.reserve(cfg.requests);
-    double now = 0;
-    while (t.size() < cfg.requests) {
-        now += expDraw(rng, peak);
-        const double rate =
-            cfg.ratePerSec *
-            (1.0 + cfg.diurnalAmplitude *
-                       std::sin(2.0 * kPi * now /
-                                cfg.diurnalPeriodSeconds));
-        if (rng.uniform() * peak < rate)
-            t.push_back(now);
-    }
-    return t;
-}
-
 } // namespace
-
-ArrivalProcess
-arrivalProcessByName(const std::string &name)
-{
-    if (name == "poisson")
-        return ArrivalProcess::Poisson;
-    if (name == "markov")
-        return ArrivalProcess::MarkovOnOff;
-    if (name == "diurnal")
-        return ArrivalProcess::Diurnal;
-    fatal("unknown arrival process '", name,
-          "' (expected poisson|markov|diurnal)");
-}
-
-const char *
-arrivalProcessName(ArrivalProcess p)
-{
-    switch (p) {
-    case ArrivalProcess::Poisson: return "poisson";
-    case ArrivalProcess::MarkovOnOff: return "markov";
-    case ArrivalProcess::Diurnal: return "diurnal";
-    }
-    return "?";
-}
 
 std::vector<double>
 generateArrivalTimes(const TrafficConfig &cfg)
@@ -136,7 +83,6 @@ generateArrivalTimes(const TrafficConfig &cfg)
     switch (cfg.process) {
     case ArrivalProcess::Poisson: return poissonArrivals(cfg, rng);
     case ArrivalProcess::MarkovOnOff: return markovArrivals(cfg, rng);
-    case ArrivalProcess::Diurnal: return diurnalArrivals(cfg, rng);
     }
     return {};
 }
@@ -191,12 +137,7 @@ runTraffic(InferenceServer &server, const TrafficConfig &cfg)
                     std::chrono::steady_clock::duration>(
                     std::chrono::duration<double>(arrivals[i])));
         }
-        const int prio =
-            cfg.priorityLevels > 1
-                ? static_cast<int>(mixRng.uniformInt(
-                      static_cast<uint64_t>(cfg.priorityLevels)))
-                : 0;
-        const uint64_t id = server.submit(pickKey(), prio);
+        const uint64_t id = server.submit(pickKey());
         ++rep.submitted;
         if (id == 0)
             ++rep.shed;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Open-loop traffic generation against an InferenceServer. Three
- * arrival processes, all seeded and deterministic (a (seed, config)
+ * Open-loop traffic generation against an InferenceServer. Two
+ * arrival processes, both seeded and deterministic (a (seed, config)
  * pair always offers the same arrival-time trace):
  *
  *  - Poisson: exponential inter-arrivals at a fixed mean rate — the
@@ -12,25 +12,20 @@
  *    state arrivals are Poisson at that state's rate. The state
  *    rates are solved so the long-run mean equals ratePerSec, which
  *    keeps sweeps comparable across processes while the trace is
- *    far burstier than Poisson (inter-arrival CV^2 > 1);
- *  - Diurnal: a non-homogeneous Poisson process whose rate follows
- *    a sinusoidal day curve around ratePerSec, sampled by Lewis
- *    thinning against the peak-rate majorant.
+ *    far burstier than Poisson (inter-arrival CV^2 > 1).
  *
  * Generation is open-loop: a saturated server builds queue (or
  * sheds, with admission control) instead of back-pressuring the
  * generator — which is what exposes the throughput/latency knee and
  * the shed behavior the serving bench sweeps. The request mix draws
- * plan keys (optionally weighted) and priorities from an
- * independent deterministic stream, so changing the mix never
- * perturbs the arrival times.
+ * plan keys (optionally weighted) from an independent deterministic
+ * stream, so changing the mix never perturbs the arrival times.
  */
 
 #ifndef VITCOD_SERVE_LOAD_GEN_H
 #define VITCOD_SERVE_LOAD_GEN_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "serve/request.h"
@@ -39,13 +34,7 @@
 namespace vitcod::serve {
 
 /** Arrival-time process family. */
-enum class ArrivalProcess { Poisson, MarkovOnOff, Diurnal };
-
-/** Parse "poisson" / "markov" / "diurnal"; fatal() otherwise. */
-ArrivalProcess arrivalProcessByName(const std::string &name);
-
-/** Printable process name. */
-const char *arrivalProcessName(ArrivalProcess p);
+enum class ArrivalProcess { Poisson, MarkovOnOff };
 
 /** Offered traffic description. */
 struct TrafficConfig
@@ -67,20 +56,9 @@ struct TrafficConfig
     double meanIdleSeconds = 0.20;
     /** @} */
 
-    /** @name Diurnal knobs
-     *  rate(t) = ratePerSec * (1 + amplitude * sin(2 pi t/period)).
-     *  Amplitude must be in [0, 1).
-     *  @{ */
-    double diurnalPeriodSeconds = 10.0;
-    double diurnalAmplitude = 0.8;
-    /** @} */
-
     /** Plan mix; requests draw from it (uniform when weights empty). */
     std::vector<PlanKey> mix = {PlanKey{}};
     std::vector<double> mixWeights;
-
-    /** Priorities drawn uniformly from [0, priorityLevels). */
-    int priorityLevels = 1;
 
     uint64_t seed = 1;
 

@@ -5,7 +5,9 @@
  * plan object: plans are deterministic in that key, so the server
  * resolves them through its PlanCache and amortizes the one-time
  * compilation cost (paper Sec. V-B3) across all traffic for the
- * task.
+ * task. Every request of a task costs the same, so a request
+ * carries no priority or size hint: the scheduler batches by plan
+ * alone.
  */
 
 #ifndef VITCOD_SERVE_REQUEST_H
@@ -31,7 +33,7 @@ struct PlanKey
 
     bool operator==(const PlanKey &o) const = default;
 
-    /** Canonical string form; used as the cache/bucket key. */
+    /** Canonical string form; used as the cache and stats key. */
     std::string str() const;
 };
 
@@ -40,7 +42,6 @@ struct InferenceRequest
 {
     uint64_t id = 0;
     PlanKey key;
-    int priority = 0;        //!< higher runs earlier (Priority policy)
     double submitSeconds = 0; //!< server-epoch wall time of admission
 
     /**
@@ -53,7 +54,11 @@ struct InferenceRequest
      */
     double predictedServiceSeconds = 0;
 
-    /** True when admission demoted the request into its grace band. */
+    /**
+     * True when admission admitted the request inside its grace
+     * band (predicted exit past the SLO). Counted, then served like
+     * any other request.
+     */
     bool deprioritized = false;
 };
 
@@ -63,7 +68,6 @@ struct InferenceResponse
     uint64_t id = 0;
     std::string backend;      //!< worker backend that served it
     size_t batchSize = 0;     //!< size of the batch it rode in
-    int priority = 0;
 
     /** Server-epoch wall time spent queued before dispatch. */
     double queueSeconds = 0;

@@ -68,7 +68,7 @@ InferenceServer::warmup(const std::vector<PlanKey> &keys)
 }
 
 uint64_t
-InferenceServer::submit(const PlanKey &key, int priority)
+InferenceServer::submit(const PlanKey &key)
 {
     VITCOD_ASSERT(!scheduler_.stopped(),
                   "submit() after shutdown()");
@@ -85,13 +85,10 @@ InferenceServer::submit(const PlanKey &key, int priority)
     stats_.recordAdmission(decision);
     if (decision == AdmissionDecision::Shed)
         return 0;
-    if (decision == AdmissionDecision::Deprioritize)
-        priority -= cfg_.admission.deprioritizeDelta;
 
     InferenceRequest req;
     req.id = nextId_.fetch_add(1, std::memory_order_relaxed);
     req.key = key;
-    req.priority = priority;
     req.predictedServiceSeconds = service;
     req.deprioritized =
         decision == AdmissionDecision::Deprioritize;

@@ -6,6 +6,9 @@
  * cache, so the first request of a task pays the one-time build +
  * compile (or call warmup() beforehand) and everything after it is
  * a cache hit; workers then share the immutable CompiledPlan.
+ * Admitted requests (see AdmissionController) join one
+ * continuous-batching queue (BatchScheduler) that every worker
+ * drains; a request carries nothing but its PlanKey.
  *
  * Typical use (see examples/serve_traffic.cpp):
  *
@@ -48,15 +51,15 @@ struct ServerConfig
      */
     std::vector<std::string> backends = {"ViTCoD"};
 
-    /** Batch formation policy and knobs (clock is overridden). */
+    /** Continuous-batching knobs (clock is overridden). */
     SchedulerConfig scheduler;
 
     /**
      * SLO-aware admission control (disabled by default): predicts
      * each request's queue-exit latency from the plan's simEstimate
-     * and the current backlog, and admits / deprioritizes / sheds
-     * against the per-plan SLO. Shed requests are counted in
-     * ServerStats; submit() returns 0 for them. See
+     * and the current backlog, and admits / deprioritizes (admits
+     * and counts) / sheds against the per-plan SLO. Shed requests
+     * are counted in ServerStats; submit() returns 0 for them. See
      * docs/SERVING.md.
      */
     AdmissionConfig admission;
@@ -120,7 +123,7 @@ class InferenceServer
      * ids start at 1). Blocks only when @p key was never seen
      * (plan build+compile).
      */
-    uint64_t submit(const PlanKey &key, int priority = 0);
+    uint64_t submit(const PlanKey &key);
 
     /** Block until every submitted request has completed. */
     void drain();

@@ -118,7 +118,6 @@ WorkerPool::workerMain(size_t idx)
             resp.id = req.id;
             resp.backend = backend.name();
             resp.batchSize = n;
-            resp.priority = req.priority;
             resp.queueSeconds =
                 batch->formedSeconds - req.submitSeconds;
             resp.wallLatencySeconds = t1 - req.submitSeconds;

@@ -6,7 +6,7 @@
  * BatchScheduler until it is stopped *and* empty. Workers refill
  * continuously: as soon as one finishes a batch it asks the
  * scheduler for the next, passing the plan it just executed as its
- * affinity hint so the Continuous policy can top up the resident
+ * affinity hint so continuous batching can top up the resident
  * plan's next batch without a weight reload. Each worker keeps
  * a private sim::Tick counter as its virtual device clock: every
  * executed batch adds its simulated duration, so the counter

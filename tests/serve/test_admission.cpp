@@ -3,7 +3,7 @@
  * AdmissionController units (decision ladder, backlog accounting,
  * per-plan SLOs) plus the headline acceptance test of the SLO
  * serving story: on the *same* deterministic bursty trace at 2x the
- * pool's capacity, a no-admission fifo server grows its queue
+ * pool's capacity, a server with admission off grows its queue
  * without bound while the SLO-admission server sheds the excess at
  * the door and keeps admitted queue-exit latency within the SLO
  * band. The overload scenario is replayed as a discrete-event
@@ -129,8 +129,8 @@ TEST(Admission, DecisionNames)
 }
 
 // ---------------------------------------------------------------------
-// Acceptance: bursty 2x overload, fifo vs SLO admission, replayed as
-// a deterministic discrete-event simulation.
+// Acceptance: bursty 2x overload, admission off ("open") vs SLO
+// admission, replayed as a deterministic discrete-event simulation.
 // ---------------------------------------------------------------------
 
 constexpr double kService = 1e-3; //!< per-request service seconds
@@ -168,8 +168,6 @@ replayOverload(const std::vector<double> &arrivals, bool useSlo)
 {
     auto now = std::make_shared<double>(0.0);
     SchedulerConfig sc;
-    sc.policy = useSlo ? SchedulerPolicy::Continuous
-                       : SchedulerPolicy::Fifo;
     sc.maxBatch = kMaxBatch;
     sc.maxWaitSeconds = 5e-3;
     sc.clock = [now] { return *now; };
@@ -246,7 +244,7 @@ replayOverload(const std::vector<double> &arrivals, bool useSlo)
     return out;
 }
 
-TEST(AdmissionOverload, SloShedsAndBoundsLatencyWhereFifoDiverges)
+TEST(AdmissionOverload, SloShedsAndBoundsLatencyWhereOpenQueueDiverges)
 {
     // 2x the worker's 1/kService capacity, bursty: the same trace
     // shape the soak harness offers (bench_serving --soak), scaled
@@ -262,16 +260,17 @@ TEST(AdmissionOverload, SloShedsAndBoundsLatencyWhereFifoDiverges)
     const std::vector<double> arrivals = generateArrivalTimes(cfg);
     ASSERT_EQ(arrivals.size(), cfg.requests);
 
-    const SimOutcome fifo = replayOverload(arrivals, false);
+    const SimOutcome open = replayOverload(arrivals, false);
     const SimOutcome slo = replayOverload(arrivals, true);
-    EXPECT_EQ(fifo.served, fifo.admitted);
+    EXPECT_EQ(open.served, open.admitted);
     EXPECT_EQ(slo.served, slo.admitted);
 
-    // Fifo admits everything and its queue diverges: ~half the
-    // offered work is still waiting when arrivals stop.
-    EXPECT_EQ(fifo.shed, 0u);
-    EXPECT_EQ(fifo.admitted, cfg.requests);
-    EXPECT_GT(fifo.maxDepth, 2000u);
+    // With admission off everything is admitted and the queue
+    // diverges: ~half the offered work is still waiting when
+    // arrivals stop.
+    EXPECT_EQ(open.shed, 0u);
+    EXPECT_EQ(open.admitted, cfg.requests);
+    EXPECT_GT(open.maxDepth, 2000u);
 
     // SLO admission sheds a meaningful fraction at the door...
     EXPECT_GT(slo.shed, 0u);
@@ -283,15 +282,15 @@ TEST(AdmissionOverload, SloShedsAndBoundsLatencyWhereFifoDiverges)
 
     // ...which keeps the queue bounded by the SLO band (about
     // slo * mult / service predicted-exit requests plus batching
-    // slack), orders of magnitude below fifo...
+    // slack), orders of magnitude below open...
     EXPECT_LE(slo.maxDepth, 100u);
-    EXPECT_GT(fifo.maxDepth, 10 * slo.maxDepth);
+    EXPECT_GT(open.maxDepth, 10 * slo.maxDepth);
 
     // ...and admitted queue-exit latency inside the grace band
-    // (small overshoot allowed for prediction error); fifo's p99 is
+    // (small overshoot allowed for prediction error); open's p99 is
     // the divergent drain tail.
     EXPECT_LE(slo.exitP99, kSlo * kShedMult * 1.5);
-    EXPECT_GT(fifo.exitP99, 10 * kSlo);
+    EXPECT_GT(open.exitP99, 10 * kSlo);
 }
 
 TEST(AdmissionOverload, ReplayIsDeterministic)

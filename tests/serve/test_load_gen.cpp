@@ -2,13 +2,12 @@
  * @file
  * Arrival-process generation: determinism (a (seed, config) pair is
  * one trace), monotonicity, long-run mean-rate calibration across
- * all three process families, markov burstiness (inter-arrival CV^2
- * well above Poisson's 1), and the diurnal rate swing.
+ * both process families, and markov burstiness (inter-arrival CV^2
+ * well above Poisson's 1).
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "serve/load_gen.h"
@@ -45,16 +44,15 @@ interArrivalCv2(const std::vector<double> &t)
 TEST(LoadGen, TracesAreDeterministicAndMonotonic)
 {
     for (const auto p :
-         {ArrivalProcess::Poisson, ArrivalProcess::MarkovOnOff,
-          ArrivalProcess::Diurnal}) {
+         {ArrivalProcess::Poisson, ArrivalProcess::MarkovOnOff}) {
+        SCOPED_TRACE(static_cast<int>(p));
         const TrafficConfig cfg = baseCfg(p, 5000, 17);
         const auto a = generateArrivalTimes(cfg);
         const auto b = generateArrivalTimes(cfg);
-        ASSERT_EQ(a.size(), cfg.requests)
-            << arrivalProcessName(p);
-        EXPECT_EQ(a, b) << arrivalProcessName(p);
+        ASSERT_EQ(a.size(), cfg.requests);
+        EXPECT_EQ(a, b);
         for (size_t i = 1; i < a.size(); ++i)
-            ASSERT_LE(a[i - 1], a[i]) << arrivalProcessName(p);
+            ASSERT_LE(a[i - 1], a[i]);
         EXPECT_GT(a.front(), 0.0);
     }
 }
@@ -75,13 +73,12 @@ TEST(LoadGen, LongRunMeanRateMatchesConfigForAllProcesses)
     // near it (markov has the widest variance: ~200 dwell cycles).
     constexpr size_t kN = 50000;
     for (const auto p :
-         {ArrivalProcess::Poisson, ArrivalProcess::MarkovOnOff,
-          ArrivalProcess::Diurnal}) {
+         {ArrivalProcess::Poisson, ArrivalProcess::MarkovOnOff}) {
+        SCOPED_TRACE(static_cast<int>(p));
         const auto t = generateArrivalTimes(baseCfg(p, kN, 3));
         const double realized =
             static_cast<double>(kN) / t.back();
-        EXPECT_NEAR(realized, 1000.0, 150.0)
-            << arrivalProcessName(p);
+        EXPECT_NEAR(realized, 1000.0, 150.0);
     }
 }
 
@@ -96,45 +93,6 @@ TEST(LoadGen, MarkovIsBurstierThanPoisson)
     // mixes a fast and a slow exponential, pushing CV^2 well past 1.
     EXPECT_NEAR(interArrivalCv2(poisson), 1.0, 0.1);
     EXPECT_GT(interArrivalCv2(markov), 1.5);
-}
-
-TEST(LoadGen, DiurnalRateFollowsTheDayCurve)
-{
-    TrafficConfig cfg = baseCfg(ArrivalProcess::Diurnal, 20000, 9);
-    cfg.diurnalPeriodSeconds = 10.0;
-    cfg.diurnalAmplitude = 0.8;
-    const auto t = generateArrivalTimes(cfg);
-
-    // First half-period rides the sine peak, second the trough:
-    // expected count ratio (1 + 2a/pi) / (1 - 2a/pi) ~ 3.1 at
-    // a = 0.8. Demand well above 1 to keep the test robust.
-    size_t peak = 0, trough = 0;
-    for (const double x : t) {
-        const double phase =
-            std::fmod(x, cfg.diurnalPeriodSeconds);
-        if (phase < cfg.diurnalPeriodSeconds / 2)
-            ++peak;
-        else
-            ++trough;
-    }
-    ASSERT_GT(trough, 0u);
-    EXPECT_GT(static_cast<double>(peak) /
-                  static_cast<double>(trough),
-              1.5);
-}
-
-TEST(LoadGen, ProcessNamesRoundTrip)
-{
-    EXPECT_EQ(arrivalProcessByName("poisson"),
-              ArrivalProcess::Poisson);
-    EXPECT_EQ(arrivalProcessByName("markov"),
-              ArrivalProcess::MarkovOnOff);
-    EXPECT_EQ(arrivalProcessByName("diurnal"),
-              ArrivalProcess::Diurnal);
-    for (const auto p :
-         {ArrivalProcess::Poisson, ArrivalProcess::MarkovOnOff,
-          ArrivalProcess::Diurnal})
-        EXPECT_EQ(arrivalProcessByName(arrivalProcessName(p)), p);
 }
 
 } // namespace
