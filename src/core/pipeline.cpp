@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "obs/trace.h"
 
 namespace vitcod::core {
 
@@ -38,6 +39,7 @@ ModelPlan
 buildModelPlan(const model::VitModelConfig &model,
                const PipelineConfig &cfg)
 {
+    VITCOD_TRACE_SPAN("plan", "core");
     ModelPlan out;
     out.model = model;
     out.cfg = cfg;
@@ -51,6 +53,7 @@ buildModelPlan(const model::VitModelConfig &model,
 
     // ---- Step 1 (Fig. 10): insert AE modules per layer and fit.
     if (cfg.useAutoEncoder) {
+        VITCOD_TRACE_SPAN("ae_fit", "core");
         for (size_t l = 0; l < shapes.size(); ++l) {
             const size_t h = shapes[l].heads;
             const size_t c =
@@ -89,11 +92,20 @@ buildModelPlan(const model::VitModelConfig &model,
     size_t count = 0;
     for (size_t l = 0; l < shapes.size(); ++l) {
         for (size_t h = 0; h < shapes[l].heads; ++h) {
-            const linalg::Matrix a = gen.generate(l, h);
+            linalg::Matrix a;
+            {
+                VITCOD_TRACE_SPAN("generate", "core", "tokens",
+                                  double(shapes[l].tokens));
+                a = gen.generate(l, h);
+            }
             HeadPlan hp;
             hp.layer = l;
             hp.head = h;
-            hp.plan = splitConquer(a, cfg.splitConquer);
+            {
+                VITCOD_TRACE_SPAN("split_conquer", "core", "tokens",
+                                  double(shapes[l].tokens));
+                hp.plan = splitConquer(a, cfg.splitConquer);
+            }
             sum_sparsity += hp.plan.sparsity;
             sum_mass += hp.plan.retainedMass;
             sum_ngt_frac +=

@@ -1,7 +1,9 @@
 #include "split_conquer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <numeric>
 
 #include "common/logging.h"
@@ -10,16 +12,40 @@ namespace vitcod::core {
 
 namespace {
 
-/** Row indices sorted by descending value within one row. */
-std::vector<uint32_t>
-sortedRowIndices(const linalg::Matrix &a, size_t r)
+/**
+ * Sort key of an entry with value @p v at index @p idx under the
+ * selection's total order: value descending, then index ascending.
+ * The float's bits become an unsigned image that orders like the
+ * value (negatives flipped, -0 folded onto +0), inverted so that
+ * larger values come first, with the index in the low word. Keys in
+ * ascending order are therefore the total order, and a plain integer
+ * compare ranks any two finite values as `>` on the floats does.
+ */
+uint64_t
+orderKey(float v, uint32_t idx)
 {
-    std::vector<uint32_t> idx(a.cols());
-    std::iota(idx.begin(), idx.end(), 0);
-    std::sort(idx.begin(), idx.end(), [&](uint32_t x, uint32_t y) {
-        return a(r, x) > a(r, y);
-    });
-    return idx;
+    if (v == 0.0f)
+        v = 0.0f;
+    const auto bits = std::bit_cast<uint32_t>(v);
+    const uint32_t ascending =
+        (bits & 0x80000000u) ? ~bits : (bits | 0x80000000u);
+    return (static_cast<uint64_t>(~ascending) << 32) | idx;
+}
+
+/** Index a key was built from. */
+uint32_t
+keyIndex(uint64_t key)
+{
+    return static_cast<uint32_t>(key);
+}
+
+/** Fill @p keys with the order keys of row @p r, indexed by column. */
+void
+rowKeys(const linalg::Matrix &a, size_t r, std::vector<uint64_t> &keys)
+{
+    keys.resize(a.cols());
+    for (size_t c = 0; c < a.cols(); ++c)
+        keys[c] = orderKey(a(r, c), static_cast<uint32_t>(c));
 }
 
 sparse::BitMask
@@ -27,16 +53,19 @@ pruneMassPerQuery(const linalg::Matrix &a, double theta_p)
 {
     const size_t n = a.rows();
     sparse::BitMask mask(n, a.cols());
+    std::vector<uint64_t> keys;
     for (size_t r = 0; r < n; ++r) {
         double row_sum = 0.0;
         for (size_t c = 0; c < a.cols(); ++c)
             row_sum += a(r, c);
         VITCOD_ASSERT(row_sum > 0.0, "attention row has no mass");
-        const auto idx = sortedRowIndices(a, r);
+        rowKeys(a, r, keys);
+        std::sort(keys.begin(), keys.end());
         double cum = 0.0;
-        for (uint32_t c : idx) {
+        for (uint64_t key : keys) {
             if (cum >= theta_p * row_sum)
                 break;
+            const uint32_t c = keyIndex(key);
             mask.set(r, c, true);
             cum += a(r, c);
         }
@@ -49,32 +78,29 @@ pruneMassGlobal(const linalg::Matrix &a, double theta_p)
 {
     const size_t n = a.rows();
     const size_t m = a.cols();
-    struct Entry
-    {
-        float v;
-        uint32_t r;
-        uint32_t c;
-    };
-    std::vector<Entry> entries;
-    entries.reserve(n * m);
+    VITCOD_ASSERT(n * m <= (uint64_t{1} << 32),
+                  "attention map too large for 32-bit entry indices");
+    std::vector<uint64_t> keys;
+    keys.reserve(n * m);
     double total = 0.0;
     for (size_t r = 0; r < n; ++r) {
         for (size_t c = 0; c < m; ++c) {
-            entries.push_back({a(r, c), static_cast<uint32_t>(r),
-                               static_cast<uint32_t>(c)});
+            keys.push_back(
+                orderKey(a(r, c), static_cast<uint32_t>(r * m + c)));
             total += a(r, c);
         }
     }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &x, const Entry &y) { return x.v > y.v; });
+    std::sort(keys.begin(), keys.end());
 
     sparse::BitMask mask(n, m);
     double cum = 0.0;
-    for (const auto &e : entries) {
+    for (uint64_t key : keys) {
         if (cum >= theta_p * total)
             break;
-        mask.set(e.r, e.c, true);
-        cum += e.v;
+        const size_t r = keyIndex(key) / m;
+        const size_t c = keyIndex(key) % m;
+        mask.set(r, c, true);
+        cum += a(r, c);
     }
     return mask;
 }
@@ -82,16 +108,23 @@ pruneMassGlobal(const linalg::Matrix &a, double theta_p)
 sparse::BitMask
 pruneTargetSparsity(const linalg::Matrix &a, double sparsity)
 {
+    VITCOD_ASSERT(sparsity >= 0.0 && sparsity <= 1.0,
+                  "targetSparsity must lie in [0, 1], got ", sparsity);
     const size_t n = a.rows();
     const size_t m = a.cols();
     const auto keep = std::max<size_t>(
         1, static_cast<size_t>(
                std::lround((1.0 - sparsity) * static_cast<double>(m))));
     sparse::BitMask mask(n, m);
+    // Only the set of the row's top `keep` keys matters, not their
+    // order: select it instead of sorting the row.
+    std::vector<uint64_t> keys;
     for (size_t r = 0; r < n; ++r) {
-        const auto idx = sortedRowIndices(a, r);
-        for (size_t i = 0; i < keep; ++i)
-            mask.set(r, idx[i], true);
+        rowKeys(a, r, keys);
+        const auto budget = keys.begin() + static_cast<ptrdiff_t>(keep);
+        std::nth_element(keys.begin(), budget, keys.end());
+        for (auto it = keys.begin(); it != budget; ++it)
+            mask.set(r, keyIndex(*it), true);
     }
     return mask;
 }

@@ -36,9 +36,11 @@ enum class PruneMode
      */
     MassGlobal,
     /**
-     * Keep exactly the top ceil((1-target_sparsity)*n) entries of
-     * each row: pins the mask at an exact sparsity ratio, which is
-     * how the paper's hardware sweeps (60/70/80/90/95%) are run.
+     * Keep exactly the top round((1-target_sparsity)*n) entries
+     * (at least one) of each row: pins the mask at an exact sparsity
+     * ratio, which is how the paper's hardware sweeps
+     * (60/70/80/90/95%) are run. Ties at the row budget go to the
+     * lower column.
      */
     TargetSparsity,
 };
@@ -51,7 +53,10 @@ struct SplitConquerConfig
     /** theta_p: cumulative information mass to keep (Mass* modes). */
     double massThreshold = 0.90;
 
-    /** Target fraction of pruned entries (TargetSparsity mode). */
+    /**
+     * Target fraction of pruned entries (TargetSparsity mode); must
+     * lie in [0, 1].
+     */
     double targetSparsity = 0.90;
 
     /**
@@ -109,6 +114,11 @@ struct SparseAttentionPlan
 /**
  * Step 1 of Algorithm 1: prune an averaged, row-normalized attention
  * map to a fixed binary mask.
+ *
+ * Every mode ranks entries by one total order: value descending,
+ * then index ascending (column within a row, row-major position
+ * across the map). Equal values, +0 and -0 included, therefore go
+ * to the lower index, and the mask is a pure function of the map.
  *
  * @param a n x n attention map with rows summing to ~1.
  * @param cfg Pruning configuration.

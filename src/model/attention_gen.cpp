@@ -114,21 +114,23 @@ AttentionMapGenerator::generate(size_t layer, size_t head) const
         col_gmass[globals[i]] = g_strength[i];
     }
 
+    // Component 1: locality kernel exp(-|r - c| / sigma), which
+    // depends only on the distance: tabulated once per head.
+    std::vector<double> kern(n);
+    for (size_t d = 0; d < n; ++d)
+        kern[d] = std::exp(-static_cast<double>(d) / sigma);
+
     linalg::Matrix a(n, n);
-    std::vector<double> local_row(n);
     for (size_t r = 0; r < n; ++r) {
-        // Component 1: locality kernel, row-normalized.
+        const auto dist = [r](size_t c) { return r > c ? r - c : c - r; };
+        // Row-normalized locality.
         double local_sum = 0.0;
-        for (size_t c = 0; c < n; ++c) {
-            const double dist = std::abs(static_cast<double>(r) -
-                                         static_cast<double>(c));
-            local_row[c] = std::exp(-dist / sigma);
-            local_sum += local_row[c];
-        }
+        for (size_t c = 0; c < n; ++c)
+            local_sum += kern[dist(c)];
 
         double row_sum = 0.0;
         for (size_t c = 0; c < n; ++c) {
-            const double local = local_mass * local_row[c] / local_sum;
+            const double local = local_mass * kern[dist(c)] / local_sum;
             const double global = g_mass * col_gmass[c];
             const double background =
                 bg_mass * rng.uniform() * 2.0 / static_cast<double>(n);

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "core/pipeline.h"
+#include "obs/trace.h"
 
 namespace vitcod::core {
 namespace {
@@ -109,6 +113,23 @@ TEST(Pipeline, LeViTStagesGetPlansWithMatchingTokens)
     EXPECT_EQ(plan.planOf(0, 0).tokens, 196u);
     EXPECT_EQ(plan.planOf(4, 0).tokens, 49u);
     EXPECT_EQ(plan.planOf(8, 0).tokens, 16u);
+}
+
+TEST(Pipeline, BuildEmitsPhaseSpans)
+{
+    obs::TraceSession &session = obs::TraceSession::instance();
+    session.stop();
+    session.start();
+    (void)buildModelPlan(model::levit128(), makePipelineConfig(0.8, true));
+    session.stop();
+    std::ostringstream json;
+    session.writeJson(json);
+    for (const char *name :
+         {"plan", "ae_fit", "generate", "split_conquer"}) {
+        const std::string event = std::string("{\"name\": \"") + name +
+                                  "\", \"cat\": \"core\"";
+        EXPECT_NE(json.str().find(event), std::string::npos) << name;
+    }
 }
 
 } // namespace

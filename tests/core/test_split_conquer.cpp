@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "core/split_conquer.h"
 #include "model/attention_gen.h"
@@ -56,6 +58,51 @@ TEST(Prune, TargetSparsityKeepsTopEntries)
         }
         EXPECT_GE(min_kept, max_pruned) << "row " << r;
     }
+}
+
+TEST(Prune, TargetSparsityBreaksTiesByLowerColumn)
+{
+    // keep = round(0.5 * 10) = 5 entries per row.
+    constexpr size_t n = 10;
+    linalg::Matrix a(n, n);
+    for (size_t r = 0; r < n; ++r)
+        for (size_t c = 0; c < n; ++c)
+            a(r, c) = 0.1f;
+    // Row 1: two clear winners, then a run of five equal values that
+    // the budget cuts after its third member.
+    const float row1[n] = {0.01f, 0.2f, 0.01f, 0.2f, 0.2f,
+                           0.01f, 0.2f, 0.5f,  0.2f, 0.5f};
+    // Row 2: negatives and signed zeros; +0 and -0 tie.
+    const float row2[n] = {-1.0f, -0.0f, 0.0f, -0.0f, 0.3f,
+                           -2.0f, 0.0f,  0.7f, -0.5f, -0.0f};
+    for (size_t c = 0; c < n; ++c) {
+        a(1, c) = row1[c];
+        a(2, c) = row2[c];
+    }
+
+    const auto mask = pruneAttention(a, targetCfg(0.5));
+    auto kept = [&](size_t r) {
+        std::vector<size_t> cols;
+        for (size_t c = 0; c < n; ++c)
+            if (mask.get(r, c))
+                cols.push_back(c);
+        return cols;
+    };
+    const std::vector<size_t> prefix = {0, 1, 2, 3, 4};
+    EXPECT_EQ(kept(0), prefix);
+    EXPECT_EQ(kept(1), (std::vector<size_t>{1, 3, 4, 7, 9}));
+    EXPECT_EQ(kept(2), (std::vector<size_t>{1, 2, 3, 4, 7}));
+    for (size_t r = 3; r < n; ++r)
+        EXPECT_EQ(kept(r), prefix) << "row " << r;
+}
+
+TEST(Prune, RejectsOutOfRangeTargetSparsity)
+{
+    const auto a = deitMap();
+    EXPECT_DEATH(pruneAttention(a, targetCfg(-0.5)), "targetSparsity");
+    EXPECT_DEATH(pruneAttention(a, targetCfg(1.5)), "targetSparsity");
+    EXPECT_DEATH(pruneAttention(a, targetCfg(std::nan(""))),
+                 "targetSparsity");
 }
 
 TEST(Prune, MassPerQueryReachesThreshold)
