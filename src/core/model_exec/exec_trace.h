@@ -8,10 +8,10 @@
  * Traces split into a *structural* part — shapes, mask nnz, global
  * token counts, MACs, dispatch counts — that is bit-deterministic
  * in (plan, engine config, thread count), and a *timing* part that
- * is machine-dependent. The golden-trace regression fixtures under
- * tests/data/ serialize whole traces but compare only the
- * structural part (structurallyEqual); timings ride along for
- * human inspection.
+ * is machine-dependent. write() prints only the structural part, so
+ * its bytes are reproducible; tests/data/model_exec_trace.golden
+ * holds them for a pinned tiny model. Timings stay in the struct
+ * for run_model, the benchmark driver and the serving backend.
  */
 
 #ifndef VITCOD_CORE_MODEL_EXEC_EXEC_TRACE_H
@@ -33,8 +33,6 @@ struct HeadTrace
     size_t maskNnz = 0;         //!< plan mask nonzeros
     size_t numGlobalTokens = 0; //!< plan N_gt
     double seconds = 0;         //!< sparse attention wall time
-
-    bool operator==(const HeadTrace &) const = default;
 };
 
 /** One transformer layer's execution record. */
@@ -73,24 +71,12 @@ struct ExecTrace
 
     std::vector<LayerTrace> layers;
 
-    /** Serialize as a line-oriented text document. */
+    /**
+     * Write the structural part as a line-oriented text document;
+     * wall times are left out.
+     */
     void write(std::ostream &os) const;
-    void writeFile(const std::string &path) const;
-
-    /** Parse a document produced by write(); fatal() on malformed
-     *  input. */
-    static ExecTrace read(std::istream &is);
-    static ExecTrace readFile(const std::string &path);
 };
-
-/**
- * Compare everything deterministic — model, batch, per-layer and
- * per-head shapes/workloads/MACs, dispatch counters — ignoring all
- * wall times. On mismatch returns false and, when @p why is
- * non-null, describes the first difference.
- */
-bool structurallyEqual(const ExecTrace &a, const ExecTrace &b,
-                       std::string *why = nullptr);
 
 } // namespace vitcod::core::model_exec
 

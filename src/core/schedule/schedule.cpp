@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
+#include <ostream>
 
 #include "common/logging.h"
 
@@ -189,32 +188,12 @@ ModelSchedule::breakdown() const
     return b;
 }
 
-// ------------------------------------------------------- serialization
+// ----------------------------------------------------------- document
 
 namespace {
 
 constexpr const char *kMagic = "vitcod-schedule";
 constexpr const char *kVersion = "v2";
-
-void
-expectWord(std::istream &is, const char *expected)
-{
-    std::string word;
-    if (!(is >> word) || word != expected)
-        fatal("schedule parse error: expected '", expected,
-              "', got '", word, "'");
-}
-
-template <typename T>
-T
-readValue(std::istream &is, const char *label)
-{
-    expectWord(is, label);
-    T v{};
-    if (!(is >> v))
-        fatal("schedule parse error: bad value for '", label, "'");
-    return v;
-}
 
 void
 writeVec(std::ostream &os, const char *label,
@@ -226,23 +205,12 @@ writeVec(std::ostream &os, const char *label,
     os << '\n';
 }
 
-std::vector<uint32_t>
-readVec(std::istream &is, const char *label)
-{
-    const auto n = readValue<size_t>(is, label);
-    std::vector<uint32_t> v(n);
-    for (size_t i = 0; i < n; ++i)
-        if (!(is >> v[i]))
-            fatal("schedule parse error: short '", label, "' array");
-    return v;
-}
-
 } // namespace
 
 void
 ModelSchedule::write(std::ostream &os) const
 {
-    // Doubles round-trip exactly at 17 significant digits.
+    // 17 significant digits: every double prints exactly.
     const auto old_precision = os.precision(17);
     os << kMagic << ' ' << kVersion << '\n';
     os << "model " << modelName << '\n';
@@ -317,263 +285,6 @@ ModelSchedule::write(std::ostream &os) const
         }
     }
     os.precision(old_precision);
-}
-
-void
-ModelSchedule::writeFile(const std::string &path) const
-{
-    std::ofstream os(path);
-    if (!os)
-        fatal("cannot open '", path, "' for writing");
-    write(os);
-    if (!os)
-        fatal("write to '", path, "' failed");
-}
-
-ModelSchedule
-ModelSchedule::read(std::istream &is)
-{
-    expectWord(is, kMagic);
-    expectWord(is, kVersion);
-
-    ModelSchedule s;
-    s.modelName = readValue<std::string>(is, "model");
-    s.endToEnd = readValue<bool>(is, "end_to_end");
-    s.stemMacs = readValue<MacOps>(is, "stem_macs");
-    s.stemFlops = readValue<double>(is, "stem_flops");
-    expectWord(is, "hw");
-    HardwareParams &p = s.params;
-    p.macLines = readValue<size_t>(is, "mac_lines");
-    p.macsPerLine = readValue<size_t>(is, "macs_per_line");
-    p.elemBytes = readValue<size_t>(is, "elem_bytes");
-    p.indexBytes = readValue<size_t>(is, "index_bytes");
-    p.qkvBufBytes = readValue<Bytes>(is, "qkv_buf");
-    p.sBufferBytes = readValue<Bytes>(is, "s_buf");
-    p.aeLines = readValue<size_t>(is, "ae_lines");
-    p.aeDecodeRate = readValue<double>(is, "ae_decode_rate");
-    p.softmaxLanesPerEngine = readValue<size_t>(is, "softmax_lanes");
-    p.colOverheadCycles = readValue<Cycles>(is, "col_overhead");
-    p.reconfigCycles = readValue<Cycles>(is, "reconfig");
-    p.denseEff = readValue<double>(is, "dense_eff");
-    p.gemmEff = readValue<double>(is, "gemm_eff");
-    p.twoPronged = readValue<bool>(is, "two_pronged");
-    p.enableAeEngines = readValue<bool>(is, "ae_engines");
-    p.dynamicMaskPrediction = readValue<bool>(is, "dyn_mask");
-    p.predictionCostFactor = readValue<double>(is, "pred_cost");
-    p.sparserLineFrac = readValue<double>(is, "sparser_frac");
-
-    const auto n_layers = readValue<size_t>(is, "layers");
-    s.layers.reserve(n_layers);
-    for (size_t i = 0; i < n_layers; ++i) {
-        LayerSchedule l;
-        l.layer = readValue<size_t>(is, "layer");
-        l.shape.tokens = readValue<size_t>(is, "tokens");
-        l.shape.heads = readValue<size_t>(is, "heads");
-        l.shape.headDim = readValue<size_t>(is, "head_dim");
-        l.shape.embedDim = readValue<size_t>(is, "embed_dim");
-        l.shape.mlpRatio = readValue<size_t>(is, "mlp_ratio");
-        l.aeOn = readValue<bool>(is, "ae");
-        l.aeRatio = readValue<double>(is, "ratio");
-        l.compressedHeads = readValue<size_t>(is, "compressed");
-        l.decodeMacs = readValue<MacOps>(is, "decode_macs");
-        expectWord(is, "split");
-        l.denserSddmmMacs = readValue<MacOps>(is, "sddmm_d");
-        l.sparserSddmmMacs = readValue<MacOps>(is, "sddmm_s");
-        l.denserSpmmMacs = readValue<MacOps>(is, "spmm_d");
-        l.sparserSpmmMacs = readValue<MacOps>(is, "spmm_s");
-        l.softmaxElems = readValue<uint64_t>(is, "softmax_elems");
-        expectWord(is, "lines");
-        l.sddmmDenserLines = readValue<size_t>(is, "sddmm_d");
-        l.sddmmSparserLines = readValue<size_t>(is, "sddmm_s");
-        l.spmmDenserLines = readValue<size_t>(is, "spmm_d");
-        l.spmmSparserLines = readValue<size_t>(is, "spmm_s");
-        l.sddmmSparserCycles = readValue<Cycles>(is, "sddmm_s_cycles");
-        l.spmmSparserCycles = readValue<Cycles>(is, "spmm_s_cycles");
-        expectWord(is, "mem");
-        l.windowRows = readValue<size_t>(is, "window");
-        l.idxBytes = readValue<Bytes>(is, "idx");
-        l.qkLoadBytes = readValue<Bytes>(is, "qk");
-        l.gatherMisses = readValue<uint64_t>(is, "gathers");
-        l.gatherRowBytes = readValue<Bytes>(is, "gather_row");
-        l.sBytes = readValue<Bytes>(is, "s");
-        l.spillBytes = readValue<Bytes>(is, "spill");
-        l.vLoadBytes = readValue<Bytes>(is, "v");
-        l.outStoreBytes = readValue<Bytes>(is, "out");
-        expectWord(is, "predict");
-        l.predictMacs = readValue<MacOps>(is, "macs");
-        l.predictOverhead = readValue<Cycles>(is, "overhead");
-        expectWord(is, "exec");
-        l.execMacs.qkv = readValue<MacOps>(is, "qkv");
-        l.execMacs.attn = readValue<MacOps>(is, "attn");
-        l.execMacs.outProj = readValue<MacOps>(is, "out_proj");
-        l.execMacs.mlp = readValue<MacOps>(is, "mlp");
-        expectWord(is, "dense");
-        DenseBlockSchedule &d = l.dense;
-        d.projMacs = readValue<MacOps>(is, "proj");
-        d.encodeMacs = readValue<MacOps>(is, "encode");
-        d.outProjMacs = readValue<MacOps>(is, "out_proj");
-        d.mlpMacs = readValue<MacOps>(is, "mlp");
-        d.projLoadBytes = readValue<Bytes>(is, "proj_load");
-        d.projStoreBytes = readValue<Bytes>(is, "proj_store");
-        d.outProjBytes = readValue<Bytes>(is, "op_bytes");
-        d.mlpBytes = readValue<Bytes>(is, "mlp_bytes");
-        d.lnElems = readValue<uint64_t>(is, "ln");
-        const auto n_heads = readValue<size_t>(is, "head_scheds");
-        l.heads.reserve(n_heads);
-        for (size_t h = 0; h < n_heads; ++h) {
-            HeadSchedule hs;
-            hs.head = readValue<size_t>(is, "head");
-            hs.tokens = readValue<size_t>(is, "tokens");
-            hs.headDim = readValue<size_t>(is, "head_dim");
-            hs.numGlobalTokens = readValue<size_t>(is, "global");
-            hs.denserNnz = readValue<size_t>(is, "denser_nnz");
-            hs.sparserNnz = readValue<size_t>(is, "sparser_nnz");
-            hs.denserMacs = readValue<MacOps>(is, "denser_macs");
-            hs.sparserMacs = readValue<MacOps>(is, "sparser_macs");
-            hs.idxBytes = readValue<Bytes>(is, "idx_bytes");
-            hs.qGatherMisses = readValue<uint64_t>(is, "gathers");
-            hs.layout.useCsc = readValue<bool>(is, "use_csc");
-            hs.layout.rowPtr = readVec(is, "row_ptr");
-            hs.layout.colIdx = readVec(is, "col_idx");
-            if (hs.layout.useCsc) {
-                hs.layout.colPtr = readVec(is, "col_ptr");
-                hs.layout.rowIdx = readVec(is, "row_idx");
-            }
-            l.heads.push_back(std::move(hs));
-        }
-        s.layers.push_back(std::move(l));
-    }
-    return s;
-}
-
-ModelSchedule
-ModelSchedule::readFile(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        fatal("cannot open '", path, "' for reading");
-    return read(is);
-}
-
-// ----------------------------------------------------------- equality
-
-namespace {
-
-bool
-fail(std::string *why, const std::string &msg)
-{
-    if (why)
-        *why = msg;
-    return false;
-}
-
-template <typename T>
-bool
-check(std::string *why, const std::string &what, const T &a,
-      const T &b)
-{
-    if (a == b)
-        return true;
-    std::ostringstream os;
-    os << what << ": " << a << " vs " << b;
-    return fail(why, os.str());
-}
-
-} // namespace
-
-bool
-structurallyEqual(const ModelSchedule &a, const ModelSchedule &b,
-                  std::string *why)
-{
-    if (!check(why, "model", a.modelName, b.modelName) ||
-        !check(why, "end_to_end", a.endToEnd, b.endToEnd) ||
-        !check(why, "stem_macs", a.stemMacs, b.stemMacs) ||
-        !check(why, "stem_flops", a.stemFlops, b.stemFlops) ||
-        !check(why, "layer count", a.layers.size(), b.layers.size()))
-        return false;
-    if (!(a.params == b.params))
-        return fail(why, "hardware params differ");
-    for (size_t i = 0; i < a.layers.size(); ++i) {
-        const LayerSchedule &la = a.layers[i];
-        const LayerSchedule &lb = b.layers[i];
-        const std::string tag = "layer " + std::to_string(i) + " ";
-        if (!check(why, tag + "index", la.layer, lb.layer) ||
-            !check(why, tag + "tokens", la.shape.tokens,
-                   lb.shape.tokens) ||
-            !check(why, tag + "heads", la.shape.heads,
-                   lb.shape.heads) ||
-            !check(why, tag + "head_dim", la.shape.headDim,
-                   lb.shape.headDim) ||
-            !check(why, tag + "embed_dim", la.shape.embedDim,
-                   lb.shape.embedDim) ||
-            !check(why, tag + "mlp_ratio", la.shape.mlpRatio,
-                   lb.shape.mlpRatio) ||
-            !check(why, tag + "ae", la.aeOn, lb.aeOn) ||
-            !check(why, tag + "ae_ratio", la.aeRatio, lb.aeRatio) ||
-            !check(why, tag + "compressed", la.compressedHeads,
-                   lb.compressedHeads) ||
-            !check(why, tag + "decode_macs", la.decodeMacs,
-                   lb.decodeMacs) ||
-            !check(why, tag + "sddmm_d", la.denserSddmmMacs,
-                   lb.denserSddmmMacs) ||
-            !check(why, tag + "sddmm_s", la.sparserSddmmMacs,
-                   lb.sparserSddmmMacs) ||
-            !check(why, tag + "spmm_d", la.denserSpmmMacs,
-                   lb.denserSpmmMacs) ||
-            !check(why, tag + "spmm_s", la.sparserSpmmMacs,
-                   lb.sparserSpmmMacs) ||
-            !check(why, tag + "softmax_elems", la.softmaxElems,
-                   lb.softmaxElems) ||
-            !check(why, tag + "sddmm lines d", la.sddmmDenserLines,
-                   lb.sddmmDenserLines) ||
-            !check(why, tag + "sddmm lines s", la.sddmmSparserLines,
-                   lb.sddmmSparserLines) ||
-            !check(why, tag + "spmm lines d", la.spmmDenserLines,
-                   lb.spmmDenserLines) ||
-            !check(why, tag + "spmm lines s", la.spmmSparserLines,
-                   lb.spmmSparserLines) ||
-            !check(why, tag + "sddmm_s_cycles", la.sddmmSparserCycles,
-                   lb.sddmmSparserCycles) ||
-            !check(why, tag + "spmm_s_cycles", la.spmmSparserCycles,
-                   lb.spmmSparserCycles) ||
-            !check(why, tag + "window", la.windowRows,
-                   lb.windowRows) ||
-            !check(why, tag + "idx", la.idxBytes, lb.idxBytes) ||
-            !check(why, tag + "qk", la.qkLoadBytes, lb.qkLoadBytes) ||
-            !check(why, tag + "gathers", la.gatherMisses,
-                   lb.gatherMisses) ||
-            !check(why, tag + "gather_row", la.gatherRowBytes,
-                   lb.gatherRowBytes) ||
-            !check(why, tag + "s_bytes", la.sBytes, lb.sBytes) ||
-            !check(why, tag + "spill", la.spillBytes,
-                   lb.spillBytes) ||
-            !check(why, tag + "v", la.vLoadBytes, lb.vLoadBytes) ||
-            !check(why, tag + "out", la.outStoreBytes,
-                   lb.outStoreBytes) ||
-            !check(why, tag + "predict_macs", la.predictMacs,
-                   lb.predictMacs) ||
-            !check(why, tag + "predict_overhead", la.predictOverhead,
-                   lb.predictOverhead) ||
-            !check(why, tag + "exec qkv", la.execMacs.qkv,
-                   lb.execMacs.qkv) ||
-            !check(why, tag + "exec attn", la.execMacs.attn,
-                   lb.execMacs.attn) ||
-            !check(why, tag + "exec out_proj", la.execMacs.outProj,
-                   lb.execMacs.outProj) ||
-            !check(why, tag + "exec mlp", la.execMacs.mlp,
-                   lb.execMacs.mlp) ||
-            !check(why, tag + "head count", la.heads.size(),
-                   lb.heads.size()))
-            return false;
-        if (!(la.dense == lb.dense))
-            return fail(why, tag + "dense block differs");
-        for (size_t h = 0; h < la.heads.size(); ++h) {
-            if (!(la.heads[h] == lb.heads[h]))
-                return fail(why, tag + "head " + std::to_string(h) +
-                                     " differs");
-        }
-    }
-    return true;
 }
 
 } // namespace vitcod::core::schedule

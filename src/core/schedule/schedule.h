@@ -17,9 +17,9 @@
  * equal the simulator's priced MACs by construction — the three-way
  * invariant tests/schedule/ pins.
  *
- * Schedules serialize to a line-oriented text document (write/read)
- * with a golden fixture under tests/data/, same --update-goldens
- * flow as ExecTrace.
+ * ModelSchedule::write prints a whole schedule as a line-oriented
+ * text document; tests/data/model_schedule.golden holds its bytes
+ * for a pinned tiny model.
  */
 
 #ifndef VITCOD_CORE_SCHEDULE_SCHEDULE_H
@@ -103,8 +103,6 @@ struct HeadSchedule
 
     /** Total mask nonzeros (denser + sparser partition). */
     size_t maskNnz() const { return denserNnz + sparserNnz; }
-
-    bool operator==(const HeadSchedule &) const = default;
 };
 
 /** Dense (non-attention) phases of one layer, end-to-end scope. */
@@ -119,8 +117,6 @@ struct DenseBlockSchedule
     Bytes outProjBytes = 0;
     Bytes mlpBytes = 0;
     uint64_t lnElems = 0;      //!< 2 * n * d elementwise ops
-
-    bool operator==(const DenseBlockSchedule &) const = default;
 };
 
 /** One layer's complete attention schedule. */
@@ -212,23 +208,14 @@ struct ModelSchedule
      */
     model::Breakdown breakdown() const;
 
-    /** @name Text serialization (same flow as ExecTrace)
-     *  @{ */
+    /**
+     * Write every field, layouts included, as a line-oriented text
+     * document (doubles at 17 significant digits). Nothing reads it
+     * back: the golden test compares these bytes with
+     * tests/data/model_schedule.golden.
+     */
     void write(std::ostream &os) const;
-    void writeFile(const std::string &path) const;
-    static ModelSchedule read(std::istream &is);
-    static ModelSchedule readFile(const std::string &path);
-    /** @} */
 };
-
-/**
- * Everything-compared equality (layouts included); doubles compare
- * exactly, which round-trips through write/read at 17 significant
- * digits. On mismatch returns false and describes the first
- * difference in @p why (when non-null).
- */
-bool structurallyEqual(const ModelSchedule &a, const ModelSchedule &b,
-                       std::string *why = nullptr);
 
 /** @name Static schedule math (shared by builder, simulator, tests)
  *  @{ */

@@ -42,7 +42,11 @@
 
 namespace vitcod::linalg::engine {
 
-/** Tuning knobs; defaults fit the 196x196 DeiT attention shapes. */
+/**
+ * Tuning knobs; defaults fit the 196x196 DeiT attention shapes.
+ * Every member has a default initializer, so a designated
+ * initializer may omit any of them without -Wmissing-field-initializers.
+ */
 struct EngineConfig
 {
     /**
@@ -50,7 +54,7 @@ struct EngineConfig
      * MACs run the scalar reference, everything else the optimized
      * panels.
      */
-    std::optional<KernelTier> tier;
+    std::optional<KernelTier> tier{};
 
     /**
      * ISA pin for the optimized panels. Unset defers to the
@@ -59,7 +63,7 @@ struct EngineConfig
      * isa::resolveIsa); KernelEngine::variant() reports what
      * actually resolved.
      */
-    std::optional<IsaLevel> isa;
+    std::optional<IsaLevel> isa{};
 
     /** Rows per parallel panel. */
     size_t rowPanel = 16;

@@ -25,6 +25,13 @@
 #include "linalg/engine/isa/isa.h"
 #include "linalg/engine/isa/simd_math.h"
 
+// GCC 12.2's _mm512_reduce_add_ps goes through _mm256_undefined_pd(),
+// which -Wmaybe-uninitialized flags at every inlined call (GCC bug
+// 105593, fixed in 12.3). Silencing it changes no generated code.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 namespace vitcod::linalg::engine::isa {
 
 namespace {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <string_view>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -207,10 +208,12 @@ allSevenModels()
             levit128(),           levit192(), levit256()};
 }
 
-VitModelConfig
-modelByName(const std::string &name)
+std::optional<VitModelConfig>
+findModel(const std::string &name)
 {
-    for (const auto &m : allSevenModels())
+    // Built once: the serving runtime checks every submitted key.
+    static const std::vector<VitModelConfig> kZoo = allSevenModels();
+    for (const auto &m : kZoo)
         if (m.name == name)
             return m;
     if (name.rfind("BERT-Base-n", 0) == 0) {
@@ -223,7 +226,16 @@ modelByName(const std::string &name)
         if (ec == std::errc() && p == end && seq_len > 0)
             return bertBase(seq_len);
     }
-    fatal("unknown model name: ", name);
+    return std::nullopt;
+}
+
+VitModelConfig
+modelByName(const std::string &name)
+{
+    auto m = findModel(name);
+    if (!m)
+        fatal("unknown model name: ", name);
+    return std::move(*m);
 }
 
 } // namespace vitcod::model

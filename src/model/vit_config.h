@@ -17,6 +17,7 @@
 #define VITCOD_MODEL_VIT_CONFIG_H
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,7 +105,13 @@ std::vector<VitModelConfig> coreSixModels();
 /** All seven ViT models of Fig. 15 (Strided Transformer first). */
 std::vector<VitModelConfig> allSevenModels();
 
-/** Look up a model by name; fatal() on unknown names. */
+/**
+ * Look up a model by name: a zoo model's name or "BERT-Base-n<len>"
+ * with a positive decimal length. nullopt on anything else.
+ */
+std::optional<VitModelConfig> findModel(const std::string &name);
+
+/** findModel() for names that must exist; fatal() on unknown ones. */
 VitModelConfig modelByName(const std::string &name);
 
 } // namespace vitcod::model

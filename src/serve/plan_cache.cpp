@@ -31,6 +31,13 @@ PlanKey::str() const
     return oss.str();
 }
 
+bool
+PlanKey::valid() const
+{
+    return sparsity >= 0.0 && sparsity <= 1.0 &&
+           model::findModel(model).has_value();
+}
+
 Bytes
 modelWeightBytes(const model::VitModelConfig &m, size_t elem_bytes)
 {

@@ -35,6 +35,12 @@ struct PlanKey
 
     /** Canonical string form; used as the cache and stats key. */
     std::string str() const;
+
+    /**
+     * Whether a plan can be built for this key: sparsity in [0, 1]
+     * (not NaN) and a model model::findModel() knows.
+     */
+    bool valid() const;
 };
 
 /** One inference request admitted to the server. */

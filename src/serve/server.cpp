@@ -73,6 +73,12 @@ InferenceServer::submit(const PlanKey &key)
     VITCOD_ASSERT(!scheduler_.stopped(),
                   "submit() after shutdown()");
     VITCOD_TRACE_SPAN("submit", "serve");
+    // A key no plan can be built from is refused before the cache
+    // sees it: building it would abort the process.
+    if (!key.valid()) {
+        stats_.recordRejected();
+        return 0;
+    }
     // Admission-time plan resolution: compiles on first sight of the
     // task, shares the cached plan on every request after. The
     // plan's schedule-priced simEstimate is also the admission

@@ -119,9 +119,10 @@ class InferenceServer
 
     /**
      * Offer one request. Thread-safe. Returns the request id, or 0
-     * when admission control shed the request (nothing was queued;
-     * ids start at 1). Blocks only when @p key was never seen
-     * (plan build+compile).
+     * when nothing was queued (ids start at 1): admission control
+     * shed the request, or @p key is malformed (!PlanKey::valid(),
+     * counted as rejected; nothing is built). Blocks only when
+     * @p key was never seen (plan build+compile).
      */
     uint64_t submit(const PlanKey &key);
 

@@ -29,7 +29,10 @@ ServerStats::ServerStats()
           "Requests admitted in the SLO grace band")),
       shed_(registry_.counter(
           "vitcod_serve_requests_shed_total",
-          "Requests rejected by SLO admission control"))
+          "Requests shed by SLO admission control")),
+      rejected_(registry_.counter(
+          "vitcod_serve_requests_rejected_total",
+          "Requests refused for a malformed plan key"))
 {
 }
 
@@ -130,6 +133,7 @@ ServerStats::snapshot(double elapsed_seconds) const
     s.admitted = admitted_.value();
     s.deprioritized = deprioritized_.value();
     s.shed = shed_.value();
+    s.rejected = rejected_.value();
     s.shedRate = (s.admitted + s.shed) > 0
                      ? static_cast<double>(s.shed) /
                            static_cast<double>(s.admitted + s.shed)

@@ -66,10 +66,14 @@ struct StatsSnapshot
      *  @{ */
     uint64_t admitted = 0;      //!< incl. deprioritized
     uint64_t deprioritized = 0; //!< admitted in the grace band
-    uint64_t shed = 0;          //!< rejected at the door
+    uint64_t shed = 0;          //!< turned away by admission control
     /** shed / (admitted + shed); 0 when no decisions were taken. */
     double shedRate = 0;
     /** @} */
+
+    /** Submits refused for a malformed key (!PlanKey::valid());
+     *  never admitted, never shed. */
+    uint64_t rejected = 0;
 
     /** @name Wall-clock request latency (submit -> completion)
      *  @{ */
@@ -179,6 +183,9 @@ class ServerStats
     /** Record one admission decision (lock-free). */
     void recordAdmission(AdmissionDecision d);
 
+    /** Record one submit refused for a malformed key (lock-free). */
+    void recordRejected() { rejected_.inc(); }
+
     /** Aggregate view after @p elapsed_seconds of serving. */
     StatsSnapshot snapshot(double elapsed_seconds) const;
 
@@ -213,6 +220,7 @@ class ServerStats
     obs::Counter &admitted_;
     obs::Counter &deprioritized_;
     obs::Counter &shed_;
+    obs::Counter &rejected_;
 
     mutable std::mutex lock_;
     std::vector<BackendCounters> backends_;

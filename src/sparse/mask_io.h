@@ -1,11 +1,12 @@
 /**
  * @file
- * Portable-bitmap (PBM, both ASCII P1 and binary P4) import/export
- * of binary masks, so the Fig. 2/8 attention-map structures can be
- * dumped as real images and inspected with any viewer, and so fixed
- * masks can be shipped alongside a deployed model ("the sparse
- * attention masks will remain fixed during both finetuning and
- * inference", paper Sec. IV-B).
+ * Portable-bitmap (PBM, both ASCII P1 and binary P4) export of
+ * binary masks, so the Fig. 2/8 attention-map structures can be
+ * dumped as real images and inspected with any viewer. Export only:
+ * the masks are fixed once built ("the sparse attention masks will
+ * remain fixed during both finetuning and inference", paper
+ * Sec. IV-B), so nothing in the program reads one back, and the
+ * golden test compares the written bytes.
  */
 
 #ifndef VITCOD_SPARSE_MASK_IO_H
@@ -32,17 +33,6 @@ void writePbm(std::ostream &os, const BitMask &mask,
 /** Serialize to a file; fatal() on I/O failure. */
 void writePbmFile(const std::string &path, const BitMask &mask,
                   PbmFormat format = PbmFormat::Binary);
-
-/**
- * Parse a PBM stream (P1 or P4, comments allowed in headers).
- * Malformed input — bad magic, non-numeric, non-positive or
- * oversized dimensions, bad pixels, a short payload — panics with a
- * message naming the fault; nothing throws.
- */
-BitMask readPbm(std::istream &is);
-
-/** Parse from a file; fatal() on I/O failure. */
-BitMask readPbmFile(const std::string &path);
 
 } // namespace vitcod::sparse
 

@@ -373,6 +373,27 @@ TEST(ModelExecutor, ForwardAndBatchAgreeBitwise)
             << "sample " << b;
 }
 
+TEST(ModelExecutor, HeadTracesOffLeavesOnlyLayerRecords)
+{
+    const auto m = testModel(2, 3, 32);
+    const auto plan = buildModelPlan(m, makePipelineConfig(0.9, false));
+    Rng rng(5);
+    const KernelEngine opt({.tier = KernelTier::Optimized});
+    ModelExecutor exec(
+        &plan, ModelWeights::random(m, 0, 4, rng),
+        ExecutorConfig{.numClasses = 4, .collectHeadTraces = false},
+        &opt);
+    ExecTrace trace;
+    (void)exec.forward(
+        Matrix::randomNormal(32, m.stages[0].embedDim, rng), &trace);
+    ASSERT_EQ(trace.layers.size(), m.totalLayers());
+    for (const LayerTrace &lt : trace.layers) {
+        EXPECT_EQ(lt.heads, 3u);
+        EXPECT_TRUE(lt.headTraces.empty());
+        EXPECT_GT(lt.macs, 0u);
+    }
+}
+
 // Death tests fork; give them a pool-free local engine so no
 // thread (shared ThreadPool included) is alive at fork time.
 TEST(ModelExecutorDeath, MissingHeadPlanPanics)

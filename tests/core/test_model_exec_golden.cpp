@@ -2,24 +2,18 @@
  * @file
  * Golden-trace regression fixtures: a pinned tiny model is built
  * and executed under a pinned engine configuration, and the
- * resulting (layer 0, head 0) mask plus the whole ExecTrace are
- * compared against serialized goldens in tests/data/. Everything
- * structural — mask bits, shapes, per-head nnz / global-token
- * counts, MACs, engine dispatch counters — must match exactly;
- * wall times are ignored (structurallyEqual).
+ * resulting (layer 0, head 0) mask (as ASCII PBM) plus the whole
+ * ExecTrace document are compared byte for byte with the files in
+ * tests/data/. Mask bits, shapes, per-head nnz / global-token
+ * counts, MACs and engine dispatch counters must match exactly;
+ * ExecTrace::write leaves the wall times out.
  *
  * Regenerate after an intentional change with
- *
- *     core_test_model_exec_golden --update-goldens
- *
- * which rewrites the files in the source tree (the build embeds
- * VITCOD_TEST_DATA_DIR) and then re-runs the comparison against
- * them.
+ * `core_test_model_exec_golden --update-goldens` (support/golden.h).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 #include <string>
 
@@ -28,22 +22,10 @@
 #include "core/pipeline.h"
 #include "linalg/engine/thread_pool.h"
 #include "sparse/mask_io.h"
-#include "support/temp_path.h"
+#include "support/golden.h"
 
 namespace vitcod::core::model_exec {
 namespace {
-
-bool g_update_goldens = false;
-
-std::string
-dataDir()
-{
-#ifdef VITCOD_TEST_DATA_DIR
-    return std::string(VITCOD_TEST_DATA_DIR) + "/";
-#else
-    return "tests/data/";
-#endif
-}
 
 constexpr const char *kMaskGolden = "model_exec_mask_l0h0.pbm";
 constexpr const char *kTraceGolden = "model_exec_trace.golden";
@@ -93,93 +75,24 @@ struct Fixture
 TEST(ModelExecGolden, MaskMatchesCheckedInPbm)
 {
     Fixture fx;
-    const sparse::BitMask &mask = fx.plan.planOf(0, 0).mask;
-    const std::string path = dataDir() + kMaskGolden;
-
-    if (g_update_goldens)
-        sparse::writePbmFile(path, mask, sparse::PbmFormat::Ascii);
-
-    EXPECT_EQ(sparse::readPbmFile(path), mask)
-        << "plan mask diverged from " << path
-        << " (regenerate with --update-goldens if intentional)";
-}
-
-TEST(ModelExecGolden, MaskRoundTripsThroughMaskIo)
-{
-    Fixture fx;
-    const sparse::BitMask &mask = fx.plan.planOf(0, 0).mask;
-    // Full round-trip through both PBM flavors at a unique path.
-    for (const auto fmt :
-         {sparse::PbmFormat::Ascii, sparse::PbmFormat::Binary}) {
-        const std::string path =
-            test::uniqueTempPath("golden_mask.pbm");
-        sparse::writePbmFile(path, mask, fmt);
-        EXPECT_EQ(sparse::readPbmFile(path), mask);
-        std::remove(path.c_str());
-    }
+    std::ostringstream os;
+    sparse::writePbm(os, fx.plan.planOf(0, 0).mask,
+                     sparse::PbmFormat::Ascii);
+    test::expectGolden(os.str(), kMaskGolden);
 }
 
 TEST(ModelExecGolden, TraceMatchesCheckedInGolden)
 {
     Fixture fx;
-    const std::string path = dataDir() + kTraceGolden;
+    std::ostringstream os;
+    fx.trace.write(os);
+    test::expectGolden(os.str(), kTraceGolden);
 
-    if (g_update_goldens)
-        fx.trace.writeFile(path);
-
-    const ExecTrace golden = ExecTrace::readFile(path);
-    std::string why;
-    EXPECT_TRUE(structurallyEqual(fx.trace, golden, &why))
-        << "trace diverged from " << path << ": " << why
-        << " (regenerate with --update-goldens if intentional)";
-
-    // Timings are machine-dependent but must be present and sane.
+    // Timings are machine-dependent, so the document leaves them
+    // out, but the struct must still carry them.
     EXPECT_GT(fx.trace.totalSeconds, 0.0);
     for (const LayerTrace &lt : fx.trace.layers)
         EXPECT_GE(lt.seconds(), 0.0);
-}
-
-TEST(ModelExecGolden, TraceSerializationRoundTrips)
-{
-    Fixture fx;
-    std::stringstream ss;
-    fx.trace.write(ss);
-    const ExecTrace back = ExecTrace::read(ss);
-    std::string why;
-    EXPECT_TRUE(structurallyEqual(fx.trace, back, &why)) << why;
-    EXPECT_EQ(back.model, fx.trace.model);
-    EXPECT_DOUBLE_EQ(back.totalSeconds, fx.trace.totalSeconds);
-}
-
-TEST(ModelExecGolden, TraceWithoutHeadRecordsRoundTrips)
-{
-    // collectHeadTraces = false: per-head records absent while the
-    // layer shape still says heads = 3 — the document must carry
-    // its own head-record count to stay parseable.
-    auto model = Fixture::makeModel();
-    const auto plan =
-        buildModelPlan(model, makePipelineConfig(0.9, false));
-    Rng rng(5);
-    const linalg::engine::KernelEngine eng(
-        {.tier = linalg::engine::KernelTier::Optimized});
-    ModelExecutor exec(
-        &plan, ModelWeights::random(model, 0, 8, rng),
-        ExecutorConfig{.numClasses = 8, .collectHeadTraces = false},
-        &eng);
-    ExecTrace trace;
-    (void)exec.forward(
-        linalg::Matrix::randomNormal(32, model.stages[0].embedDim,
-                                     rng),
-        &trace);
-    ASSERT_TRUE(trace.layers[0].headTraces.empty());
-
-    std::stringstream ss;
-    trace.write(ss);
-    const ExecTrace back = ExecTrace::read(ss);
-    std::string why;
-    EXPECT_TRUE(structurallyEqual(trace, back, &why)) << why;
-    EXPECT_EQ(back.layers[0].heads, 3u);
-    EXPECT_TRUE(back.layers[0].headTraces.empty());
 }
 
 } // namespace
@@ -188,9 +101,5 @@ TEST(ModelExecGolden, TraceWithoutHeadRecordsRoundTrips)
 int
 main(int argc, char **argv)
 {
-    ::testing::InitGoogleTest(&argc, argv);
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--update-goldens")
-            vitcod::core::model_exec::g_update_goldens = true;
-    return RUN_ALL_TESTS();
+    return vitcod::test::goldenMain(argc, argv);
 }

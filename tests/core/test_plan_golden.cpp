@@ -10,41 +10,24 @@
  * Any change to the attention-map generator, the pruning selection,
  * the reordering or the AE fit that moves a single output bit fails
  * here. Regenerate after an intentional change with
- *
- *     core_test_plan_golden --update-goldens
- *
- * which rewrites the file in the source tree (the build embeds
- * VITCOD_TEST_DATA_DIR) and then re-runs the comparison against it.
+ * `core_test_plan_golden --update-goldens` (support/golden.h).
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "model/vit_config.h"
+#include "support/golden.h"
 
 namespace vitcod::core {
 namespace {
-
-bool g_update_goldens = false;
-
-std::string
-dataDir()
-{
-#ifdef VITCOD_TEST_DATA_DIR
-    return std::string(VITCOD_TEST_DATA_DIR) + "/";
-#else
-    return "tests/data/";
-#endif
-}
 
 constexpr const char *kPlanGolden = "zoo_plans.golden";
 
@@ -134,44 +117,9 @@ renderPlans()
     return os.str();
 }
 
-std::vector<std::string>
-splitLines(const std::string &text)
-{
-    std::vector<std::string> lines;
-    std::istringstream is(text);
-    for (std::string line; std::getline(is, line);)
-        lines.push_back(line);
-    return lines;
-}
-
 TEST(PlanGolden, ZooPlansMatchCheckedInGolden)
 {
-    const std::string path = dataDir() + kPlanGolden;
-    const std::string now = renderPlans();
-
-    if (g_update_goldens)
-        std::ofstream(path) << now;
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in) << "cannot open " << path;
-    std::stringstream golden;
-    golden << in.rdbuf();
-
-    const auto want = splitLines(golden.str());
-    const auto got = splitLines(now);
-    EXPECT_EQ(got.size(), want.size()) << "record count differs";
-    size_t reported = 0;
-    for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
-        if (got[i] == want[i])
-            continue;
-        ADD_FAILURE() << "line " << i + 1 << " of " << path
-                      << "\n  want: " << want[i]
-                      << "\n  got:  " << got[i]
-                      << "\n(regenerate with --update-goldens if "
-                         "intentional)";
-        if (++reported == 5)
-            break;
-    }
+    test::expectGolden(renderPlans(), kPlanGolden);
 }
 
 } // namespace
@@ -180,9 +128,5 @@ TEST(PlanGolden, ZooPlansMatchCheckedInGolden)
 int
 main(int argc, char **argv)
 {
-    ::testing::InitGoogleTest(&argc, argv);
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--update-goldens")
-            vitcod::core::g_update_goldens = true;
-    return RUN_ALL_TESTS();
+    return vitcod::test::goldenMain(argc, argv);
 }

@@ -6,10 +6,8 @@
  * searches on one instance, the paper's co-design payoff
  * (a config strictly dominating the default accelerator on latency
  * at equal-or-lower area proxy for DeiT-Tiny @ 90% sparsity), and a
- * golden frontier fixture under tests/data/ with the established
- * --update-goldens flow:
- *
- *     dse_test_explorer --update-goldens
+ * golden frontier fixture under tests/data/ (support/golden.h;
+ * regenerate with `dse_test_explorer --update-goldens`).
  */
 
 #include <gtest/gtest.h>
@@ -18,21 +16,10 @@
 #include <string>
 
 #include "dse/explorer.h"
+#include "support/golden.h"
 
 namespace vitcod::dse {
 namespace {
-
-bool g_update_goldens = false;
-
-std::string
-dataDir()
-{
-#ifdef VITCOD_TEST_DATA_DIR
-    return std::string(VITCOD_TEST_DATA_DIR) + "/";
-#else
-    return "tests/data/";
-#endif
-}
 
 constexpr const char *kFrontierGolden = "dse_frontier.golden.json";
 
@@ -218,21 +205,13 @@ TEST(ExplorerGolden, FrontierMatchesCheckedInFixture)
     Explorer ex(tinyBundle(), HwConfigSpace::smokeSpace(),
                 testConfig());
     const DseResult r = ex.exhaustive();
-    const std::string path = dataDir() + kFrontierGolden;
-
-    if (g_update_goldens)
-        r.frontier.writeJsonFile(path);
-
-    // Round-trip exactness first, then the golden comparison.
     std::stringstream ss;
     r.frontier.writeJson(ss);
-    EXPECT_EQ(ParetoFrontier::readJson(ss), r.frontier);
+    test::expectGolden(ss.str(), kFrontierGolden);
 
-    const ParetoFrontier golden =
-        ParetoFrontier::readJsonFile(path);
-    EXPECT_EQ(golden, r.frontier)
-        << "frontier diverged from " << path
-        << " (regenerate with --update-goldens if intentional)";
+    // The reader has a production caller (serve::tunedHwConfig), so
+    // the written document must also parse back exactly.
+    EXPECT_EQ(ParetoFrontier::readJson(ss), r.frontier);
 }
 
 } // namespace
@@ -241,9 +220,5 @@ TEST(ExplorerGolden, FrontierMatchesCheckedInFixture)
 int
 main(int argc, char **argv)
 {
-    ::testing::InitGoogleTest(&argc, argv);
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--update-goldens")
-            vitcod::dse::g_update_goldens = true;
-    return RUN_ALL_TESTS();
+    return vitcod::test::goldenMain(argc, argv);
 }

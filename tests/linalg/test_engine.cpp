@@ -506,10 +506,12 @@ TEST_P(KernelEngineIsa, VariantAndLaunchCountersReportThisIsa)
     // Fused attention = one SDDMM + one softmax + one SpMM launch,
     // all on the pinned ISA.
     EXPECT_EQ(isaLaunches(st, GetParam()), 3u);
-    for (IsaLevel other : engine::isa::compiledIsaLevels())
-        if (other != GetParam())
+    for (IsaLevel other : engine::isa::compiledIsaLevels()) {
+        if (other != GetParam()) {
             EXPECT_EQ(isaLaunches(st, other), 0u)
                 << engine::isaName(other);
+        }
+    }
 }
 
 TEST_P(KernelEngineIsa, EmptyAndFullMasksAreHandled)

@@ -135,18 +135,20 @@ TEST(ResolveIsa, ForcedLevelWinsOverEnvAndDetection)
 {
     EXPECT_EQ(resolveIsa(IsaLevel::Scalar, kAvx512Host, "avx2"),
               IsaLevel::Scalar);
-    if (isaCompiled(IsaLevel::Avx2))
+    if (isaCompiled(IsaLevel::Avx2)) {
         EXPECT_EQ(resolveIsa(IsaLevel::Avx2, kAvx512Host, "scalar"),
                   IsaLevel::Avx2);
+    }
 }
 
 TEST(ResolveIsa, EnvWinsOverDetection)
 {
     EXPECT_EQ(resolveIsa(std::nullopt, kAvx512Host, "scalar"),
               IsaLevel::Scalar);
-    if (isaCompiled(IsaLevel::Avx2))
+    if (isaCompiled(IsaLevel::Avx2)) {
         EXPECT_EQ(resolveIsa(std::nullopt, kAvx512Host, "avx2"),
                   IsaLevel::Avx2);
+    }
 }
 
 TEST(ResolveIsa, EmptyAutoOrBadEnvFallsBackToDetection)

@@ -90,6 +90,14 @@ TEST(ModelZoo, LookupByName)
     EXPECT_EQ(modelByName("BERT-Base-n128").stages[0].tokens, 128u);
 }
 
+TEST(ModelZoo, FindModelReturnsNothingForUnknownNames)
+{
+    EXPECT_EQ(findModel("DeiT-Tiny")->name, "DeiT-Tiny");
+    EXPECT_EQ(findModel("BERT-Base-n64")->stages[0].tokens, 64u);
+    for (const char *name : {"NoSuchModel", "", "BERT-Base-n0"})
+        EXPECT_FALSE(findModel(name).has_value()) << name;
+}
+
 TEST(ModelZooDeath, MalformedBertLengthIsAnUnknownName)
 {
     for (const char *name :

@@ -6,36 +6,22 @@
  * fixtures for the Prometheus text exposition and JSON snapshot.
  *
  * Regenerate the exposition goldens after an intentional format
- * change with
- *
- *     obs_test_metrics --update-goldens
+ * change with `obs_test_metrics --update-goldens` (support/golden.h).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "support/golden.h"
 
 namespace vitcod::obs {
 namespace {
-
-bool g_update_goldens = false;
-
-std::string
-dataDir()
-{
-#ifdef VITCOD_TEST_DATA_DIR
-    return std::string(VITCOD_TEST_DATA_DIR) + "/";
-#else
-    return "tests/data/";
-#endif
-}
 
 TEST(Metrics, CounterAndGaugeBasics)
 {
@@ -75,8 +61,9 @@ TEST(Metrics, BucketGridIsFixedAndMonotonic)
     for (double v : {1e-6, 1e-3, 0.5, 1.0, 123.0, 7e8}) {
         const size_t b = Histogram::bucketOf(v);
         EXPECT_GE(Histogram::bucketUpperBound(b), v);
-        if (b > 1)
+        if (b > 1) {
             EXPECT_LT(Histogram::bucketUpperBound(b - 1), v);
+        }
     }
 }
 
@@ -216,32 +203,13 @@ fillFixture(MetricsRegistry &reg)
         h.observe(v);
 }
 
-void
-compareGolden(const std::string &got, const char *name)
-{
-    const std::string path = dataDir() + name;
-    if (g_update_goldens) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << got;
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in) << "missing golden " << path
-                    << " (generate with --update-goldens)";
-    std::stringstream buf;
-    buf << in.rdbuf();
-    EXPECT_EQ(got, buf.str())
-        << "exposition diverged from " << path
-        << " (regenerate with --update-goldens if intentional)";
-}
-
 TEST(MetricsGolden, PrometheusExposition)
 {
     MetricsRegistry reg;
     fillFixture(reg);
     std::ostringstream oss;
     reg.writePrometheus(oss);
-    compareGolden(oss.str(), "obs_metrics.golden.prom");
+    test::expectGolden(oss.str(), "obs_metrics.golden.prom");
 }
 
 TEST(MetricsGolden, JsonSnapshot)
@@ -250,7 +218,7 @@ TEST(MetricsGolden, JsonSnapshot)
     fillFixture(reg);
     std::ostringstream oss;
     reg.writeJson(oss);
-    compareGolden(oss.str(), "obs_metrics.golden.json");
+    test::expectGolden(oss.str(), "obs_metrics.golden.json");
 }
 
 } // namespace
@@ -259,9 +227,5 @@ TEST(MetricsGolden, JsonSnapshot)
 int
 main(int argc, char **argv)
 {
-    ::testing::InitGoogleTest(&argc, argv);
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--update-goldens")
-            vitcod::obs::g_update_goldens = true;
-    return RUN_ALL_TESTS();
+    return vitcod::test::goldenMain(argc, argv);
 }

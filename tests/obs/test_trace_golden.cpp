@@ -11,32 +11,19 @@
  * this fixture.
  *
  * Regenerate after an intentional format change with
- *
- *     obs_test_trace_golden --update-goldens
+ * `obs_test_trace_golden --update-goldens` (support/golden.h).
  */
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "obs/trace.h"
+#include "support/golden.h"
 
 namespace vitcod::obs {
 namespace {
-
-bool g_update_goldens = false;
-
-std::string
-dataDir()
-{
-#ifdef VITCOD_TEST_DATA_DIR
-    return std::string(VITCOD_TEST_DATA_DIR) + "/";
-#else
-    return "tests/data/";
-#endif
-}
 
 constexpr const char *kTraceGolden = "obs_trace.golden.json";
 
@@ -84,23 +71,7 @@ recordFixture()
 
 TEST(TraceGolden, JsonMatchesCheckedInFixture)
 {
-    const std::string json = recordFixture();
-    const std::string path = dataDir() + kTraceGolden;
-
-    if (g_update_goldens) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << json;
-    }
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in) << "missing golden " << path
-                    << " (generate with --update-goldens)";
-    std::stringstream buf;
-    buf << in.rdbuf();
-    EXPECT_EQ(json, buf.str())
-        << "trace JSON diverged from " << path
-        << " (regenerate with --update-goldens if intentional)";
+    test::expectGolden(recordFixture(), kTraceGolden);
 }
 
 } // namespace
@@ -109,9 +80,5 @@ TEST(TraceGolden, JsonMatchesCheckedInFixture)
 int
 main(int argc, char **argv)
 {
-    ::testing::InitGoogleTest(&argc, argv);
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--update-goldens")
-            vitcod::obs::g_update_goldens = true;
-    return RUN_ALL_TESTS();
+    return vitcod::test::goldenMain(argc, argv);
 }

@@ -17,7 +17,7 @@
 #include "common/rng.h"
 #include "core/model_exec/model_executor.h"
 #include "core/pipeline.h"
-#include "sparse/mask_io.h"
+#include "sparse/bitmask.h"
 
 namespace vitcod::core::schedule {
 namespace {
@@ -178,18 +178,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ThreeWayMacs, GoldenMaskFixtureAgrees)
 {
-    // The pinned golden mask (layer 0, head 0 of the golden-tiny
-    // plan) flows through all three consumers with one nnz count.
+    // The golden mask (layer 0, head 0 of the golden-tiny plan, which
+    // ModelExecGolden pins to tests/data/model_exec_mask_l0h0.pbm)
+    // flows through all three consumers with one nnz count.
     model::VitModelConfig m;
     m.name = "golden-tiny";
     m.stages = {{2, 32, 3, 8, 24, 2}};
     const auto plan =
         core::buildModelPlan(m, core::makePipelineConfig(0.9, false));
-
-    const std::string path =
-        std::string(VITCOD_TEST_DATA_DIR) + "/model_exec_mask_l0h0.pbm";
-    const sparse::BitMask golden_mask = sparse::readPbmFile(path);
-    ASSERT_EQ(plan.planOf(0, 0).mask, golden_mask);
+    const sparse::BitMask &golden_mask = plan.planOf(0, 0).mask;
 
     const ModelSchedule sched =
         ScheduleBuilder().build(plan, /*e2e=*/false);

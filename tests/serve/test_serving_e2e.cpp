@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -432,6 +433,38 @@ TEST(ServingE2E, TwoServersKeepSeparateMetrics)
                                  "vitcod_serve_queue_depth"),
                   s->admitted);
     }
+}
+
+TEST(ServingE2E, MalformedKeysAreRejected)
+{
+    // Building any of these keys would stop the process (sparsity
+    // assert, unknown-model fatal), so submit must refuse them first.
+    ServerConfig cfg;
+    cfg.backends = {"ViTCoD"};
+    InferenceServer server(cfg);
+    std::vector<PlanKey> bad(4, tinyKey());
+    bad[0].sparsity = -0.5;
+    bad[1].sparsity = 1.5;
+    bad[2].sparsity = std::nan("");
+    bad[3].model = "NoSuchModel";
+    for (const PlanKey &k : bad) {
+        EXPECT_FALSE(k.valid()) << k.str();
+        EXPECT_EQ(server.submit(k), 0u) << k.str();
+    }
+    EXPECT_EQ(server.planCacheStats().misses, 0u) << "nothing built";
+
+    EXPECT_NE(server.submit(tinyKey()), 0u);
+    server.drain();
+    const StatsSnapshot s = server.snapshot();
+    EXPECT_EQ(s.completed, 1u);
+    EXPECT_EQ(s.admitted, 1u);
+    EXPECT_EQ(s.rejected, 4u);
+    EXPECT_EQ(s.shed, 0u);
+    uint64_t counted = 0;
+    for (const auto &c : s.metrics.counters)
+        if (c.name == "vitcod_serve_requests_rejected_total")
+            counted = c.value;
+    EXPECT_EQ(counted, 4u);
 }
 
 } // namespace

@@ -18,17 +18,13 @@
  *    price exactly like doubleBufferedCycles() on deep FIFOs, and
  *    keep their accounting invariants on shallow ones.
  *  - A golden per-stage stall breakdown of the pinned DeiT-Tiny@90%
- *    schedule under a constrained config, with the established
- *    --update-goldens flow:
- *
- *        sim_test_pipeline_model --update-goldens
+ *    schedule under a constrained config (support/golden.h;
+ *    regenerate with `sim_test_pipeline_model --update-goldens`).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,21 +32,10 @@
 #include "common/rng.h"
 #include "core/pipeline.h"
 #include "core/schedule/builder.h"
+#include "support/golden.h"
 
 namespace vitcod::accel {
 namespace {
-
-bool g_update_goldens = false;
-
-std::string
-dataDir()
-{
-#ifdef VITCOD_TEST_DATA_DIR
-    return std::string(VITCOD_TEST_DATA_DIR) + "/";
-#else
-    return "tests/data/";
-#endif
-}
 
 constexpr const char *kStatsGolden = "pipeline_stats.golden";
 
@@ -501,19 +486,7 @@ TEST(PipelineModel, GoldenStallBreakdown)
     EXPECT_GT(p.pipeline.stallCycles(), 0u)
         << "golden config must actually stall";
 
-    const std::string path = dataDir() + kStatsGolden;
-    if (g_update_goldens) {
-        std::ofstream out(path);
-        out << got;
-        ASSERT_TRUE(out.good()) << "failed to write " << path;
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << "missing golden " << path;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    EXPECT_EQ(ss.str(), got)
-        << "stall breakdown diverged from " << path
-        << " (regenerate with --update-goldens if intentional)";
+    test::expectGolden(got, kStatsGolden);
 }
 
 } // namespace
@@ -522,9 +495,5 @@ TEST(PipelineModel, GoldenStallBreakdown)
 int
 main(int argc, char **argv)
 {
-    ::testing::InitGoogleTest(&argc, argv);
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--update-goldens")
-            vitcod::accel::g_update_goldens = true;
-    return RUN_ALL_TESTS();
+    return vitcod::test::goldenMain(argc, argv);
 }

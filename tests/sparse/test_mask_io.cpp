@@ -1,58 +1,117 @@
 /**
  * @file
- * Tests of PBM mask import/export: format round-trips, header
- * parsing (comments, whitespace), byte-boundary shapes and file
- * paths.
+ * Tests of PBM mask export: the exact bytes of both flavors (header,
+ * bit order, zero padding of partial P4 bytes) at widths around the
+ * byte boundaries, and the file writer.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
-#include "common/rng.h"
 #include "sparse/mask_io.h"
 #include "support/temp_path.h"
 
 namespace vitcod::sparse {
 namespace {
 
-BitMask
-randomMask(size_t rows, size_t cols, double density, uint64_t seed)
+/** One width with its expected P4 rows as hex. */
+struct WidthCase
 {
-    Rng rng(seed);
-    BitMask m(rows, cols);
-    for (size_t r = 0; r < rows; ++r)
-        for (size_t c = 0; c < cols; ++c)
-            if (rng.uniform() < density)
-                m.set(r, c, true);
+    size_t cols;
+    const char *rows[4]; //!< all ones, last column, first, even columns
+};
+
+/**
+ * Rows: every column set; only the last column; only the first;
+ * every even column. The last two pin MSB-first bit order, the
+ * first two the zero padding of a partial final byte.
+ */
+constexpr WidthCase kWidths[] = {
+    {1, {"80", "80", "80", "80"}},
+    {7, {"fe", "02", "80", "aa"}},
+    {8, {"ff", "01", "80", "aa"}},
+    {9, {"ff80", "0080", "8000", "aa80"}},
+    {63,
+     {"fffffffffffffffe", "0000000000000002", "8000000000000000",
+      "aaaaaaaaaaaaaaaa"}},
+    {65,
+     {"ffffffffffffffff80", "000000000000000080", "800000000000000000",
+      "aaaaaaaaaaaaaaaa80"}},
+};
+
+BitMask
+patternMask(size_t cols)
+{
+    BitMask m(4, cols);
+    for (size_t c = 0; c < cols; ++c) {
+        m.set(0, c, true);
+        m.set(3, c, c % 2 == 0);
+    }
+    m.set(1, cols - 1, true);
+    m.set(2, 0, true);
     return m;
 }
 
-TEST(MaskIo, AsciiRoundTrip)
+std::string
+fromHex(const std::string &hex)
 {
-    const BitMask m = randomMask(13, 21, 0.3, 1);
-    std::stringstream ss;
-    writePbm(ss, m, PbmFormat::Ascii);
-    EXPECT_EQ(readPbm(ss), m);
+    std::string out;
+    for (size_t i = 0; i < hex.size(); i += 2)
+        out.push_back(
+            static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+    return out;
 }
 
-TEST(MaskIo, BinaryRoundTrip)
+/** The P1 text of a hex P4 row: its first @p cols bits, MSB first. */
+std::string
+p1Row(const std::string &hex, size_t cols)
 {
-    const BitMask m = randomMask(197, 197, 0.1, 2);
-    std::stringstream ss;
-    writePbm(ss, m, PbmFormat::Binary);
-    EXPECT_EQ(readPbm(ss), m);
+    const std::string bytes = fromHex(hex);
+    std::string row;
+    for (size_t c = 0; c < cols; ++c) {
+        const auto byte = static_cast<unsigned char>(bytes[c / 8]);
+        row += (byte >> (7 - c % 8)) & 1u ? '1' : '0';
+        row += c + 1 == cols ? '\n' : ' ';
+    }
+    return row;
 }
 
-TEST(MaskIo, BinaryRoundTripNonByteAlignedWidths)
+std::string
+written(const BitMask &m, PbmFormat format)
 {
-    for (size_t cols : {1u, 7u, 8u, 9u, 63u, 65u}) {
-        const BitMask m = randomMask(5, cols, 0.5, 100 + cols);
-        std::stringstream ss;
-        writePbm(ss, m, PbmFormat::Binary);
-        EXPECT_EQ(readPbm(ss), m) << "cols=" << cols;
+    std::ostringstream os;
+    writePbm(os, m, format);
+    return os.str();
+}
+
+TEST(MaskIo, BinaryBytesAtEveryPadding)
+{
+    for (const WidthCase &w : kWidths) {
+        std::string want = "P4\n" + std::to_string(w.cols) + " 4\n";
+        for (const char *row : w.rows)
+            want += fromHex(row);
+        EXPECT_EQ(written(patternMask(w.cols), PbmFormat::Binary), want)
+            << "cols=" << w.cols;
+    }
+}
+
+TEST(MaskIo, AsciiBytesAtEveryWidth)
+{
+    EXPECT_EQ(written(patternMask(3), PbmFormat::Ascii),
+              "P1\n# vitcod attention mask\n3 4\n"
+              "1 1 1\n0 0 1\n1 0 0\n1 0 1\n");
+    for (const WidthCase &w : kWidths) {
+        std::string want = "P1\n# vitcod attention mask\n" +
+                           std::to_string(w.cols) + " 4\n";
+        for (const char *row : w.rows)
+            want += p1Row(row, w.cols);
+        EXPECT_EQ(written(patternMask(w.cols), PbmFormat::Ascii), want)
+            << "cols=" << w.cols;
     }
 }
 
@@ -61,66 +120,21 @@ TEST(MaskIo, AsciiOutputIsValidP1Text)
     BitMask m(2, 3);
     m.set(0, 1, true);
     m.set(1, 2, true);
-    std::stringstream ss;
-    writePbm(ss, m, PbmFormat::Ascii);
-    const std::string out = ss.str();
+    const std::string out = written(m, PbmFormat::Ascii);
     EXPECT_EQ(out.rfind("P1", 0), 0u);
     EXPECT_NE(out.find("3 2"), std::string::npos);
     EXPECT_NE(out.find("0 1 0"), std::string::npos);
 }
 
-TEST(MaskIo, ParserSkipsCommentsAndWhitespace)
+TEST(MaskIo, FileHoldsTheStreamBytes)
 {
-    std::stringstream ss(
-        "P1\n# a comment\n  # another\n 3\n# mid\n2\n1 0 1\n0 1 0\n");
-    const BitMask m = readPbm(ss);
-    EXPECT_EQ(m.rows(), 2u);
-    EXPECT_EQ(m.cols(), 3u);
-    EXPECT_TRUE(m.get(0, 0));
-    EXPECT_FALSE(m.get(0, 1));
-    EXPECT_TRUE(m.get(1, 1));
-}
-
-TEST(MaskIo, FileRoundTrip)
-{
-    const BitMask m = randomMask(31, 47, 0.2, 3);
+    const BitMask m = patternMask(65);
     const std::string path = test::uniqueTempPath("mask.pbm");
     writePbmFile(path, m);
-    EXPECT_EQ(readPbmFile(path), m);
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in), {}};
+    EXPECT_EQ(bytes, written(m, PbmFormat::Binary));
     std::remove(path.c_str());
-}
-
-TEST(MaskIoDeath, BadMagicPanics)
-{
-    std::stringstream ss("P5\n2 2\n");
-    EXPECT_DEATH(readPbm(ss), "not a PBM");
-}
-
-TEST(MaskIoDeath, TruncatedBinaryPanics)
-{
-    std::stringstream ss;
-    ss << "P4\n16 4\n" << 'x'; // far too few payload bytes
-    EXPECT_DEATH(readPbm(ss), "truncated");
-}
-
-TEST(MaskIoDeath, NonNumericDimensionPanics)
-{
-    std::stringstream ss("P4\nabc 3\n");
-    EXPECT_DEATH(readPbm(ss), "PBM header");
-}
-
-TEST(MaskIoDeath, NegativeDimensionPanics)
-{
-    std::stringstream ss("P1\n-1 2\n");
-    EXPECT_DEATH(readPbm(ss), "PBM header");
-}
-
-TEST(MaskIoDeath, OverflowingDimensionsPanic)
-{
-    // 2^63 x 2 wraps rows * cols to 0 in size_t arithmetic.
-    std::stringstream ss;
-    ss << "P4\n9223372036854775808 2\n" << std::string(64, 'x');
-    EXPECT_DEATH(readPbm(ss), "PBM header");
 }
 
 } // namespace
