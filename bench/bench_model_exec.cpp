@@ -13,6 +13,11 @@
  *  - ModelExecutor on an Optimized engine over a ThreadPool
  *    (--threads N, default 4).
  *
+ * A fourth row times forwardBatch(4) on the pooled executor, one
+ * stacked forward, reports its amortization (single-forward ms over
+ * per-sample ms) and fails the run if any sample's logits differ
+ * bitwise from forward() of that sample.
+ *
  * One JsonRow per measurement; speedups are ratios of two timings
  * from the same run, so the CI gate (bench/baselines/
  * model_exec_baseline.json via scripts/check_perf_regression.py)
@@ -23,6 +28,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -162,13 +168,29 @@ main(int argc, char **argv)
                 .set("opt_gmacps", gmacs / (mt_ms * 1e-3))
                 .print();
 
-        // Batch amortization row: per-sample latency of a batch-4
-        // forward through the warm arena and prebuilt head layouts.
+        // Batch amortization row: per-sample latency of one stacked
+        // batch-4 forward, against the single forward on the same
+        // executor (amortization > 1: batching pays).
         const size_t batch = 4;
-        std::vector<linalg::Matrix> inputs(batch, input);
+        std::vector<linalg::Matrix> inputs = {input};
+        while (inputs.size() < batch)
+            inputs.push_back(linalg::Matrix::randomNormal(
+                m.stages[0].tokens, m.stages[0].embedDim, rng));
         const double batch_ms = bestMs(reps, [&] {
             guard += sink(mt_exec.forwardBatch(inputs).front());
         });
+        const double per_sample_ms =
+            batch_ms / static_cast<double>(batch);
+        const std::vector<linalg::Matrix> batched =
+            mt_exec.forwardBatch(inputs);
+        for (size_t b = 0; b < batch; ++b) {
+            const linalg::Matrix single = mt_exec.forward(inputs[b]);
+            if (single.size() != batched[b].size() ||
+                std::memcmp(single.data(), batched[b].data(),
+                            single.size() * sizeof(float)) != 0)
+                fatal("bench_model_exec: forwardBatch sample ", b,
+                      " differs bitwise from forward()");
+        }
         bench::JsonRow()
             .set("bench", "model_exec")
             .set("kernel", "forward_batch")
@@ -179,7 +201,8 @@ main(int argc, char **argv)
             .set("batch", static_cast<uint64_t>(batch))
             .set("threads", static_cast<uint64_t>(mt_threads))
             .set("batch_ms", batch_ms)
-            .set("per_sample_ms", batch_ms / static_cast<double>(batch))
+            .set("per_sample_ms", per_sample_ms)
+            .set("amortization", mt_ms / per_sample_ms)
             .print();
 
         // The executor must have stayed inside its arena.

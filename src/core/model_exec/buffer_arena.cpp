@@ -18,35 +18,32 @@ idx(Slot s)
 
 void
 BufferArena::reserveFor(const model::VitModelConfig &model,
-                        size_t in_dim, size_t num_classes)
+                        size_t in_dim, size_t num_classes, size_t batch)
 {
-    const size_t n = model.maxTokens();
+    const size_t rows = batch * model.maxTokens();
     const size_t d = model.maxEmbedDim();
     const size_t hd = model.maxHeadConcat();
-    const size_t dk = model.maxHeadDim();
     const size_t hidden = model.maxMlpHidden();
     const size_t stream = std::max({d, in_dim});
 
-    auto reserve = [&](Slot s, size_t rows, size_t cols) {
-        slots_[idx(s)].resize(rows, cols);
-        reserved_[idx(s)] = rows * cols;
+    auto reserve = [&](Slot s, size_t r, size_t c) {
+        if (r * c <= reserved_[idx(s)])
+            return;
+        slots_[idx(s)].resize(r, c);
+        reserved_[idx(s)] = r * c;
     };
-    reserve(Slot::kX0, n, stream);
-    reserve(Slot::kX1, n, stream);
-    reserve(Slot::kNorm, n, d);
-    reserve(Slot::kQ, n, hd);
-    reserve(Slot::kK, n, hd);
-    reserve(Slot::kV, n, hd);
-    reserve(Slot::kHeadQ, n, dk);
-    reserve(Slot::kHeadK, n, dk);
-    reserve(Slot::kHeadV, n, dk);
-    reserve(Slot::kHeadOut, n, dk);
-    reserve(Slot::kConcat, n, hd);
-    reserve(Slot::kProj, n, d);
-    reserve(Slot::kHidden, n, hidden);
-    reserve(Slot::kMlpOut, n, d);
-    reserve(Slot::kPooled, 1, d);
-    reserve(Slot::kLogits, 1, num_classes);
+    reserve(Slot::kX0, rows, stream);
+    reserve(Slot::kX1, rows, stream);
+    reserve(Slot::kNorm, rows, d);
+    reserve(Slot::kQ, rows, hd);
+    reserve(Slot::kK, rows, hd);
+    reserve(Slot::kV, rows, hd);
+    reserve(Slot::kConcat, rows, hd);
+    reserve(Slot::kProj, rows, d);
+    reserve(Slot::kHidden, rows, hidden);
+    reserve(Slot::kMlpOut, rows, d);
+    reserve(Slot::kPooled, batch, d);
+    reserve(Slot::kLogits, batch, num_classes);
 }
 
 linalg::Matrix &

@@ -1,12 +1,13 @@
 /**
  * @file
- * Reusable activation storage for a full-model forward pass. The
- * arena owns one matrix per named slot; reserveFor() sizes every
- * slot once to the model's worst-case stage shapes, and at() then
+ * Reusable activation storage for a full-model forward pass over a
+ * batch of samples stacked row-wise (B*n rows). The arena owns one
+ * matrix per named slot; reserveFor() sizes every slot to the
+ * model's worst-case stage shapes times a batch size, and at() then
  * reshapes in place (matrix capacity is retained across reshapes),
  * so a steady-state forward pass performs zero activation
- * allocations — growths() counts the reallocations that did happen
- * and tests pin it at 0 after warmup.
+ * allocations — growths() counts the acquisitions that went past
+ * the reservation, and tests pin it at 0.
  *
  * The residual stream is ping-pong buffered (kX0/kX1 via
  * flipResidual()): stage transitions read the old token grid from
@@ -37,16 +38,12 @@ enum class Slot : size_t
     kQ,       //!< Q projection, all heads concatenated
     kK,       //!< K projection
     kV,       //!< V projection
-    kHeadQ,   //!< one head's Q, permuted to plan order
-    kHeadK,   //!< one head's K, permuted
-    kHeadV,   //!< one head's V, permuted
-    kHeadOut, //!< one head's attention output (plan order)
     kConcat,  //!< all heads' outputs, original token order
     kProj,    //!< attention output projection
     kHidden,  //!< MLP hidden activation
     kMlpOut,  //!< MLP down-projection
-    kPooled,  //!< classifier token pool (1 x d)
-    kLogits,  //!< classifier output
+    kPooled,  //!< classifier token pool (B x d)
+    kLogits,  //!< classifier output (B x classes)
     kCount,
 };
 
@@ -60,12 +57,14 @@ class BufferArena
     BufferArena &operator=(const BufferArena &) = delete;
 
     /**
-     * Pre-size every slot for @p model so no later at() call grows a
-     * buffer. @p in_dim is the patch-feature width entering the
-     * embedding, @p num_classes the classifier width.
+     * Pre-size every slot for @p batch stacked samples of @p model
+     * so no later at() call grows a buffer. @p in_dim is the
+     * patch-feature width entering the embedding, @p num_classes the
+     * classifier width. A reservation only ever grows: a call for a
+     * smaller batch than an earlier one changes nothing.
      */
     void reserveFor(const model::VitModelConfig &model, size_t in_dim,
-                    size_t num_classes);
+                    size_t num_classes, size_t batch);
 
     /**
      * The slot's matrix reshaped (and zeroed) to rows x cols.

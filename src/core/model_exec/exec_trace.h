@@ -32,7 +32,10 @@ struct HeadTrace
     size_t head = 0;
     size_t maskNnz = 0;         //!< plan mask nonzeros
     size_t numGlobalTokens = 0; //!< plan N_gt
-    double seconds = 0;         //!< sparse attention wall time
+    /** Sparse attention wall time, summed over the batch's samples;
+     *  on a pool the (sample, head) units overlap, so the heads'
+     *  sum can exceed LayerTrace::attnSeconds. */
+    double seconds = 0;
 };
 
 /** One transformer layer's execution record. */

@@ -1,5 +1,6 @@
 #include "core/model_exec/model_executor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 
@@ -72,6 +73,16 @@ class PhaseTimer
     bool live_;
     int64_t startMicros_ = 0;
     Clock::time_point t0_;
+};
+
+/**
+ * One attention unit's head operands, permuted to plan order, and
+ * its output. Kept per thread, not in the arena: the (sample, head)
+ * units of a layer run concurrently on the engine's pool.
+ */
+struct HeadScratch
+{
+    linalg::Matrix q, k, v, out;
 };
 
 } // namespace
@@ -164,106 +175,77 @@ ModelExecutor::ModelExecutor(const core::ModelPlan *plan,
     forwardMacs_ += static_cast<MacOps>(m.stages.back().embedDim) *
                     cfg_.numClasses;
 
-    arena_.reserveFor(m, cfg_.inDim, cfg_.numClasses);
+    arena_.reserveFor(m, cfg_.inDim, cfg_.numClasses, /*batch=*/1);
 }
 
 void
-ModelExecutor::runLayer(size_t layer, LayerTrace *lt)
+ModelExecutor::runLayer(size_t layer, size_t batch, LayerTrace *lt)
 {
     const model::StageConfig &s = plan_->model.stageForLayer(layer);
     const BlockWeights &w = weights_.blocks[layer];
     const size_t n = s.tokens;
+    const size_t rows = batch * n;
     const size_t d = s.embedDim;
-    const size_t dk = s.headDim;
-    const size_t hd = s.heads * dk;
-    const auto scale = static_cast<float>(
-        1.0 / std::sqrt(static_cast<double>(dk)));
+    const size_t hd = s.heads * s.headDim;
 
     linalg::Matrix &x = arena_.residual();
-    VITCOD_ASSERT(x.rows() == n && x.cols() == d,
+    VITCOD_ASSERT(x.rows() == rows && x.cols() == d,
                   "residual shape mismatch at layer ", layer);
 
     VITCOD_TRACE_SPAN("layer", "model_exec", "layer", double(layer),
                       "tokens", double(n));
 
     // --- attention: LN -> QKV -> per-head sparse attention -------
-    // Slots consumed by *Into callees are acquired shape-free: the
-    // callee reshapes (and zeroes) them itself, so pre-shaping here
-    // would just clear the buffer twice.
+    // Every sample's rows go through one launch of each row-wise
+    // kernel. Slots consumed by *Into callees are acquired
+    // shape-free: the callee reshapes (and zeroes) them itself, so
+    // pre-shaping here would just clear the buffer twice.
     linalg::Matrix &norm = arena_.at(Slot::kNorm);
     linalg::layerNormRowsInto(x, w.ln1Gamma, w.ln1Beta, norm);
 
     {
         PhaseTimer phase("qkv", lt ? &lt->qkvSeconds : nullptr,
                          "layer", double(layer));
-        linalg::Matrix &q = arena_.at(Slot::kQ);
-        linalg::Matrix &k = arena_.at(Slot::kK);
-        linalg::Matrix &v = arena_.at(Slot::kV);
-        engine_->gemmInto(norm, w.wq, q);
-        engine_->gemmInto(norm, w.wk, k);
-        engine_->gemmInto(norm, w.wv, v);
+        engine_->gemmInto(norm, w.wq, arena_.at(Slot::kQ));
+        engine_->gemmInto(norm, w.wk, arena_.at(Slot::kK));
+        engine_->gemmInto(norm, w.wv, arena_.at(Slot::kV));
     }
-    const linalg::Matrix &q = arena_.at(Slot::kQ);
-    const linalg::Matrix &k = arena_.at(Slot::kK);
-    const linalg::Matrix &v = arena_.at(Slot::kV);
 
-    // Overwrite-acquired: every element of these is written by the
-    // permute loops below (perm is a bijection over rows, heads
-    // cover all columns), so the zeroing pass is skipped.
-    linalg::Matrix &concat = arena_.atOverwrite(Slot::kConcat, n, hd);
+    // Overwrite-acquired: the (sample, head) units below write every
+    // element (perm is a bijection over rows, heads cover all
+    // columns), so the zeroing pass is skipped.
+    linalg::Matrix &concat =
+        arena_.atOverwrite(Slot::kConcat, rows, hd);
     {
         PhaseTimer phase("attn", lt ? &lt->attnSeconds : nullptr,
                          "layer", double(layer), "heads",
                          double(s.heads));
-        const core::schedule::LayerSchedule &lsched =
-            schedule_->layers[layer];
-        for (size_t head = 0; head < s.heads; ++head) {
-            const SparseAttentionPlan &hp = *headPlans_[layer][head];
-            const core::schedule::HeadSchedule &hsched =
-                lsched.heads[head];
-            // Slice this head's columns and permute rows into the
-            // plan's token order in one pass, exactly as the
-            // accelerator schedules it.
-            linalg::Matrix &hq =
-                arena_.atOverwrite(Slot::kHeadQ, n, dk);
-            linalg::Matrix &hk =
-                arena_.atOverwrite(Slot::kHeadK, n, dk);
-            linalg::Matrix &hv =
-                arena_.atOverwrite(Slot::kHeadV, n, dk);
-            for (size_t i = 0; i < n; ++i) {
-                const size_t src = hp.perm[i];
-                for (size_t c = 0; c < dk; ++c) {
-                    hq(i, c) = q(src, head * dk + c);
-                    hk(i, c) = k(src, head * dk + c);
-                    hv(i, c) = v(src, head * dk + c);
-                }
+        const bool head_traces = lt && cfg_.collectHeadTraces;
+        const size_t units = batch * s.heads;
+        // Each unit times itself into its own slot; the sums run
+        // after the join, in a fixed order.
+        if (head_traces)
+            unitSeconds_.assign(units, 0.0);
+        double *const unit_seconds =
+            head_traces ? unitSeconds_.data() : nullptr;
+        engine_->parallelFor(
+            units, schedule_->layers[layer].execMacs.attn * batch,
+            [&](size_t u0, size_t u1) {
+                for (size_t u = u0; u < u1; ++u)
+                    attendHead(layer, u / s.heads, u % s.heads, concat,
+                               unit_seconds ? &unit_seconds[u]
+                                            : nullptr);
+            });
+        if (head_traces)
+            for (size_t head = 0; head < s.heads; ++head) {
+                HeadTrace &ht = lt->headTraces[head];
+                ht.head = head;
+                ht.maskNnz = schedule_->layers[layer].heads[head].maskNnz();
+                ht.numGlobalTokens =
+                    headPlans_[layer][head]->numGlobalTokens;
+                for (size_t b = 0; b < batch; ++b)
+                    ht.seconds += unit_seconds[b * s.heads + head];
             }
-            HeadTrace *ht = lt && cfg_.collectHeadTraces
-                                ? &lt->headTraces[head]
-                                : nullptr;
-            if (ht) {
-                ht->head = head;
-                ht->maskNnz = hsched.maskNnz();
-                ht->numGlobalTokens = hp.numGlobalTokens;
-            }
-            linalg::Matrix &hout = arena_.at(Slot::kHeadOut);
-            // Execute through the schedule's prebuilt layout: the
-            // same CSC/CSR visit order the simulator priced, and no
-            // mask scan on the request path.
-            const linalg::engine::MaskLayoutView layout =
-                hsched.layout.view(hp.mask.rows(), hp.mask.cols());
-            {
-                PhaseTimer head_phase(
-                    "head", ht ? &ht->seconds : nullptr, "layer",
-                    double(layer), "head", double(head));
-                engine_->sparseAttentionInto(hq, hk, hv, hp.mask,
-                                             layout, scale, hout);
-            }
-            // Un-permute: permuted row i is original token perm[i].
-            for (size_t i = 0; i < n; ++i)
-                for (size_t c = 0; c < dk; ++c)
-                    concat(hp.perm[i], head * dk + c) = hout(i, c);
-        }
     }
 
     // --- output projection + residual ----------------------------
@@ -272,7 +254,7 @@ ModelExecutor::runLayer(size_t layer, LayerTrace *lt)
                          "layer", double(layer));
         linalg::Matrix &proj = arena_.at(Slot::kProj);
         engine_->gemmInto(concat, w.wo, proj);
-        for (size_t r = 0; r < n; ++r)
+        for (size_t r = 0; r < rows; ++r)
             for (size_t c = 0; c < d; ++c)
                 x(r, c) += proj(r, c);
     }
@@ -287,39 +269,92 @@ ModelExecutor::runLayer(size_t layer, LayerTrace *lt)
                           linalg::engine::Epilogue::Gelu);
         linalg::Matrix &mlp_out = arena_.at(Slot::kMlpOut);
         engine_->gemmInto(hidden, w.fc2, mlp_out);
-        for (size_t r = 0; r < n; ++r)
+        for (size_t r = 0; r < rows; ++r)
             for (size_t c = 0; c < d; ++c)
                 x(r, c) += mlp_out(r, c);
     }
 }
 
 void
-ModelExecutor::stageTransition(size_t next_stage)
+ModelExecutor::attendHead(size_t layer, size_t sample, size_t head,
+                          linalg::Matrix &concat, double *seconds) const
 {
-    // LeViT-style pyramid shrink, as a proxy: average-pool token
-    // groups down to the next stage's count, then project the
-    // embedding width. Group boundaries are floor(i * n_old /
-    // n_new), handling non-integer ratios (49 -> 16).
+    const model::StageConfig &s = plan_->model.stageForLayer(layer);
+    const size_t n = s.tokens;
+    const size_t dk = s.headDim;
+    const size_t row0 = sample * n;
+    const size_t col0 = head * dk;
+    const auto scale = static_cast<float>(
+        1.0 / std::sqrt(static_cast<double>(dk)));
+    const SparseAttentionPlan &hp = *headPlans_[layer][head];
+    const linalg::Matrix &q = arena_.at(Slot::kQ);
+    const linalg::Matrix &k = arena_.at(Slot::kK);
+    const linalg::Matrix &v = arena_.at(Slot::kV);
+
+    // Slice this head's columns of this sample's rows and permute
+    // them into the plan's token order in one pass, exactly as the
+    // accelerator schedules it.
+    thread_local HeadScratch scratch;
+    scratch.q.reshapeUninit(n, dk);
+    scratch.k.reshapeUninit(n, dk);
+    scratch.v.reshapeUninit(n, dk);
+    for (size_t i = 0; i < n; ++i) {
+        const size_t src = row0 + hp.perm[i];
+        for (size_t c = 0; c < dk; ++c) {
+            scratch.q(i, c) = q(src, col0 + c);
+            scratch.k(i, c) = k(src, col0 + c);
+            scratch.v(i, c) = v(src, col0 + c);
+        }
+    }
+    // Execute through the schedule's prebuilt layout: the same
+    // CSC/CSR visit order the simulator priced, and no mask scan on
+    // the request path.
+    const linalg::engine::MaskLayoutView layout =
+        schedule_->layers[layer].heads[head].layout.view(
+            hp.mask.rows(), hp.mask.cols());
+    {
+        PhaseTimer head_phase("head", seconds, "layer", double(layer),
+                              "head", double(head));
+        engine_->sparseAttentionInto(scratch.q, scratch.k, scratch.v,
+                                     hp.mask, layout, scale,
+                                     scratch.out);
+    }
+    // Un-permute: permuted row i is original token perm[i].
+    for (size_t i = 0; i < n; ++i)
+        for (size_t c = 0; c < dk; ++c)
+            concat(row0 + hp.perm[i], col0 + c) = scratch.out(i, c);
+}
+
+void
+ModelExecutor::stageTransition(size_t next_stage, size_t batch)
+{
+    // LeViT-style pyramid shrink, as a proxy: average-pool each
+    // sample's token groups down to the next stage's count, then
+    // project the embedding width of all samples in one GEMM. Group
+    // boundaries are floor(i * n_old / n_new), handling non-integer
+    // ratios (49 -> 16).
     const model::VitModelConfig &m = plan_->model;
     const size_t n_new = m.stages[next_stage].tokens;
     linalg::Matrix &x = arena_.residual();
-    const size_t n_old = x.rows();
+    const size_t n_old = x.rows() / batch;
     const size_t d_old = x.cols();
 
     linalg::Matrix &pooled = arena_.residualSpare();
-    pooled.reshapeUninit(n_new, d_old); // every element written below
-    for (size_t i = 0; i < n_new; ++i) {
-        const size_t r0 = i * n_old / n_new;
-        const size_t r1 = (i + 1) * n_old / n_new;
-        const auto inv =
-            static_cast<float>(1.0 / static_cast<double>(r1 - r0));
-        for (size_t c = 0; c < d_old; ++c) {
-            float sum = 0.0f;
-            for (size_t r = r0; r < r1; ++r)
-                sum += x(r, c);
-            pooled(i, c) = sum * inv;
+    // every element written below
+    pooled.reshapeUninit(batch * n_new, d_old);
+    for (size_t b = 0; b < batch; ++b)
+        for (size_t i = 0; i < n_new; ++i) {
+            const size_t r0 = b * n_old + i * n_old / n_new;
+            const size_t r1 = b * n_old + (i + 1) * n_old / n_new;
+            const auto inv =
+                static_cast<float>(1.0 / static_cast<double>(r1 - r0));
+            for (size_t c = 0; c < d_old; ++c) {
+                float sum = 0.0f;
+                for (size_t r = r0; r < r1; ++r)
+                    sum += x(r, c);
+                pooled(b * n_new + i, c) = sum * inv;
+            }
         }
-    }
     arena_.flipResidual();
     engine_->gemmInto(arena_.residual(),
                       weights_.stageProj[next_stage - 1],
@@ -328,40 +363,60 @@ ModelExecutor::stageTransition(size_t next_stage)
 }
 
 void
-ModelExecutor::classify()
+ModelExecutor::classify(size_t batch)
 {
     const size_t d = plan_->model.stages.back().embedDim;
     linalg::Matrix &x = arena_.residual();
     linalg::Matrix &norm = arena_.at(Slot::kNorm);
     linalg::layerNormRowsInto(x, weights_.lnFinalGamma,
                               weights_.lnFinalBeta, norm);
-    linalg::Matrix &pooled = arena_.atOverwrite(Slot::kPooled, 1, d);
-    const auto inv =
-        static_cast<float>(1.0 / static_cast<double>(norm.rows()));
-    for (size_t c = 0; c < d; ++c) {
-        double sum = 0.0;
-        for (size_t r = 0; r < norm.rows(); ++r)
-            sum += norm(r, c);
-        pooled(0, c) = static_cast<float>(sum) * inv;
-    }
+    linalg::Matrix &pooled =
+        arena_.atOverwrite(Slot::kPooled, batch, d);
+    const size_t n = norm.rows() / batch;
+    const auto inv = static_cast<float>(1.0 / static_cast<double>(n));
+    for (size_t b = 0; b < batch; ++b)
+        for (size_t c = 0; c < d; ++c) {
+            double sum = 0.0;
+            for (size_t r = b * n; r < (b + 1) * n; ++r)
+                sum += norm(r, c);
+            pooled(b, c) = static_cast<float>(sum) * inv;
+        }
     engine_->gemmInto(pooled, weights_.classifier,
                       arena_.at(Slot::kLogits));
 }
 
 void
-ModelExecutor::forwardInto(const linalg::Matrix &patches,
-                           ExecTrace *trace)
+ModelExecutor::run(std::span<const linalg::Matrix> inputs,
+                   ExecTrace *trace)
 {
     const model::VitModelConfig &m = plan_->model;
-    VITCOD_ASSERT(patches.rows() == m.stages.front().tokens &&
-                      patches.cols() == cfg_.inDim,
-                  "patch input shape mismatch");
+    const size_t batch = inputs.size();
+    VITCOD_ASSERT(batch > 0, "empty batch");
+    const size_t n0 = m.stages.front().tokens;
+    for (const linalg::Matrix &patches : inputs)
+        VITCOD_ASSERT(patches.rows() == n0 &&
+                          patches.cols() == cfg_.inDim,
+                      "patch input shape mismatch");
+    // Grows the reservation only when this batch is the largest yet.
+    arena_.reserveFor(m, cfg_.inDim, cfg_.numClasses, batch);
+
+    initTrace(trace, batch);
+    const linalg::engine::DispatchStats before = engine_->stats();
+    VITCOD_TRACE_SPAN("forward", "model_exec", "batch", double(batch));
+    const auto t0 = Clock::now();
 
     {
         PhaseTimer phase("patch_embed",
                          trace ? &trace->patchEmbedSeconds : nullptr,
-                         "tokens", double(patches.rows()));
-        engine_->gemmInto(patches, weights_.patchEmbed,
+                         "tokens", double(batch * n0));
+        // Stack the samples row-wise; the spare residual buffer is
+        // reserved wide enough for the patch features.
+        linalg::Matrix &stacked = arena_.residualSpare();
+        stacked.reshapeUninit(batch * n0, cfg_.inDim);
+        for (size_t b = 0; b < batch; ++b)
+            std::copy_n(inputs[b].data(), inputs[b].size(),
+                        stacked.rowData(b * n0));
+        engine_->gemmInto(stacked, weights_.patchEmbed,
                           arena_.residual());
     }
 
@@ -371,17 +426,18 @@ ModelExecutor::forwardInto(const linalg::Matrix &patches,
         while (layer >= stage_first_layer + m.stages[stage].layers) {
             stage_first_layer += m.stages[stage].layers;
             ++stage;
-            stageTransition(stage);
+            stageTransition(stage, batch);
         }
-        runLayer(layer, trace ? &trace->layers[layer] : nullptr);
+        runLayer(layer, batch, trace ? &trace->layers[layer] : nullptr);
     }
 
     {
         PhaseTimer phase("classifier",
                          trace ? &trace->classifierSeconds : nullptr,
                          "classes", double(cfg_.numClasses));
-        classify();
+        classify(batch);
     }
+    finalizeTrace(trace, batch, before, secondsSince(t0));
 }
 
 void
@@ -427,12 +483,7 @@ linalg::Matrix
 ModelExecutor::forward(const linalg::Matrix &patches,
                        ExecTrace *trace)
 {
-    initTrace(trace, 1);
-    const linalg::engine::DispatchStats before = engine_->stats();
-    VITCOD_TRACE_SPAN("forward", "model_exec", "batch", 1.0);
-    const auto t0 = Clock::now();
-    forwardInto(patches, trace);
-    finalizeTrace(trace, 1, before, secondsSince(t0));
+    run({&patches, 1}, trace);
     return arena_.at(Slot::kLogits);
 }
 
@@ -440,21 +491,16 @@ std::vector<linalg::Matrix>
 ModelExecutor::forwardBatch(const std::vector<linalg::Matrix> &inputs,
                             ExecTrace *trace)
 {
-    VITCOD_ASSERT(!inputs.empty(), "empty batch");
-    initTrace(trace, inputs.size());
-    const linalg::engine::DispatchStats before = engine_->stats();
-    VITCOD_TRACE_SPAN("forward", "model_exec", "batch",
-                      double(inputs.size()));
-    const auto t0 = Clock::now();
+    run(inputs, trace);
 
+    const linalg::Matrix &all = arena_.at(Slot::kLogits);
     std::vector<linalg::Matrix> logits;
     logits.reserve(inputs.size());
-    for (const linalg::Matrix &patches : inputs) {
-        forwardInto(patches, trace);
-        logits.push_back(arena_.at(Slot::kLogits));
+    for (size_t b = 0; b < inputs.size(); ++b) {
+        linalg::Matrix row(1, all.cols());
+        std::copy_n(all.rowData(b), all.cols(), row.rowData(0));
+        logits.push_back(std::move(row));
     }
-
-    finalizeTrace(trace, inputs.size(), before, secondsSince(t0));
     return logits;
 }
 

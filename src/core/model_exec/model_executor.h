@@ -16,20 +16,36 @@
  * tests/core/test_model_exec.cpp holds the two implementations to
  * a ulp budget differentially.
  *
- * All activations live in a BufferArena sized once per model:
- * steady-state forwards perform zero activation allocations.
- * forwardBatch() runs a batch back to back through the same arena
- * and the same prebuilt head layouts, so no sample scans a mask.
+ * A batch runs as one stacked forward: ViT token counts are fixed,
+ * so B samples stack into one (B*n) x d activation with no padding.
+ * Every row-wise step (LayerNorm, the QKV / projection / FC1 / FC2
+ * GEMMs, residual adds) is one launch over all B*n rows, so each
+ * layer's weights stream once per batch. Work is per sample only
+ * where samples differ: the B*H (sample, head) attention units —
+ * permute, sparse attention, un-permute — which go out in one
+ * KernelEngine::parallelFor per layer, and the stage-transition and
+ * classifier pooling. forward() is the B = 1 case of the same code.
+ * Each GEMM element is the same in-order FMA chain for any row count
+ * and any row chunk, so forwardBatch(x)[b] equals forward(x[b]) bit
+ * for bit on every pool size and ISA, as long as the engine's tier
+ * choice (Auto picks the scalar reference below 2048 MACs) does not
+ * change between the two row counts; a pinned tier always agrees.
+ *
+ * All activations live in a BufferArena reserved for batch 1 at
+ * construction and for the largest batch seen so far after that:
+ * steady-state forwards perform zero activation allocations. The
+ * attention units' head operands live in per-thread scratch.
  *
  * An executor owns mutable per-call state (arena, scratch): one
- * executor per thread. The plan and engine are borrowed and must
- * outlive the executor.
+ * executor per calling thread. The plan and engine are borrowed and
+ * must outlive the executor.
  */
 
 #ifndef VITCOD_CORE_MODEL_EXEC_MODEL_EXECUTOR_H
 #define VITCOD_CORE_MODEL_EXEC_MODEL_EXECUTOR_H
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/model_exec/buffer_arena.h"
@@ -99,10 +115,13 @@ class ModelExecutor
                            ExecTrace *trace = nullptr);
 
     /**
-     * Batch entry point: runs every input back to back through the
-     * same arena and prebuilt head layouts. @p trace (when
-     * non-null) accumulates times/dispatch over the whole batch
-     * with batch = inputs.size().
+     * Batch entry point: one stacked forward over every input (each
+     * stage0.tokens x inDim), returning one (1 x numClasses) logits
+     * row per input, bitwise equal to forward() of that input. The
+     * first call with a larger batch than any before grows the
+     * arena's reservation. @p trace (when non-null) records the
+     * whole batch with batch = inputs.size(); head times sum over
+     * the samples.
      */
     std::vector<linalg::Matrix>
     forwardBatch(const std::vector<linalg::Matrix> &inputs,
@@ -112,17 +131,26 @@ class ModelExecutor
     MacOps forwardMacs() const;
 
   private:
-    /** One transformer layer in place on arena.residual(). */
-    void runLayer(size_t layer, LayerTrace *lt);
+    /** One transformer layer in place on arena.residual(), which
+     *  holds @p batch samples stacked row-wise. */
+    void runLayer(size_t layer, size_t batch, LayerTrace *lt);
+
+    /**
+     * One attention unit: (@p sample, @p head) of @p layer, from the
+     * arena's Q/K/V into its rows and columns of @p concat. Runs on
+     * any pool thread; writes only that block and @p seconds.
+     */
+    void attendHead(size_t layer, size_t sample, size_t head,
+                    linalg::Matrix &concat, double *seconds) const;
 
     /** Token pooling + projection entering stage @p next_stage. */
-    void stageTransition(size_t next_stage);
+    void stageTransition(size_t next_stage, size_t batch);
 
     /** Final LN + mean pool + classifier; result in kLogits. */
-    void classify();
+    void classify(size_t batch);
 
-    /** Skeleton of forward(); shared by the batch path. */
-    void forwardInto(const linalg::Matrix &patches, ExecTrace *trace);
+    /** The stacked forward behind forward() and forwardBatch(). */
+    void run(std::span<const linalg::Matrix> inputs, ExecTrace *trace);
 
     /** Reset @p trace with static per-layer fields for @p batch. */
     void initTrace(ExecTrace *trace, size_t batch) const;
@@ -150,6 +178,8 @@ class ModelExecutor
     MacOps forwardMacs_ = 0;
 
     BufferArena arena_;
+    /** Per-(sample, head) attention times of the current layer. */
+    std::vector<double> unitSeconds_;
 };
 
 } // namespace vitcod::core::model_exec

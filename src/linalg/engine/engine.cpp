@@ -31,6 +31,13 @@ enum Counter : size_t
 /** Auto tier: below this many MACs, the scalar reference runs. */
 constexpr size_t kMinOptimizedMacs = 2048;
 
+/**
+ * Row-chunk alignment of parallel launches: the GEMM register tile
+ * height (MR) of the vector panels, so only a launch's last chunk
+ * ends in a short row tile.
+ */
+constexpr size_t kChunkRows = 4;
+
 /** Name of the KernelVariant a reference dispatch executes. */
 const char *
 referenceVariantName()
@@ -101,11 +108,9 @@ KernelEngine::useOptimized(size_t macs) const
 }
 
 bool
-KernelEngine::useParallel(size_t rows, size_t macs) const
+KernelEngine::useParallel(size_t macs) const
 {
-    return pool_ && pool_->threads() > 1 &&
-           rows >= 2 * std::max<size_t>(1, cfg_.rowPanel) &&
-           macs >= cfg_.minParallelMacs;
+    return pool_ && macs >= cfg_.minParallelMacs;
 }
 
 void
@@ -113,12 +118,31 @@ KernelEngine::forPanels(
     size_t rows, size_t macs,
     const std::function<void(size_t, size_t)> &body) const
 {
-    if (useParallel(rows, macs)) {
-        counters_[kParallel].fetch_add(1, std::memory_order_relaxed);
-        pool_->parallelFor(0, rows, cfg_.rowPanel, body);
-    } else {
+    if (!useParallel(macs)) {
         body(0, rows);
+        return;
     }
+    // One chunk per participating thread (workers plus the caller).
+    // A launch nested in a pool task runs inline and is not counted.
+    const size_t parts = pool_->threads() + 1;
+    const size_t per_part = (rows + parts - 1) / parts;
+    const size_t grain =
+        (per_part + kChunkRows - 1) / kChunkRows * kChunkRows;
+    if (pool_->parallelFor(0, rows, grain, body))
+        counters_[kParallel].fetch_add(1, std::memory_order_relaxed);
+}
+
+void
+KernelEngine::parallelFor(
+    size_t units, size_t macs,
+    const std::function<void(size_t, size_t)> &body) const
+{
+    if (!useParallel(macs)) {
+        body(0, units);
+        return;
+    }
+    if (pool_->parallelFor(0, units, 1, body))
+        counters_[kParallel].fetch_add(1, std::memory_order_relaxed);
 }
 
 void

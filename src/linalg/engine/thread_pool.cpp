@@ -97,22 +97,22 @@ ThreadPool::workerMain()
     }
 }
 
-void
+bool
 ThreadPool::parallelFor(size_t begin, size_t end, size_t grain,
                         const std::function<void(size_t, size_t)> &body)
 {
     if (begin >= end)
-        return;
+        return false;
     const size_t n = end - begin;
-    if (grain == 0)
-        grain = std::max<size_t>(1, n / std::max<size_t>(1, threads()));
+    if (grain == 0) // one chunk per participating thread
+        grain = (n + threads()) / (threads() + 1);
 
     // Inline when called from one of THIS pool's own tasks (nested
     // call — fanning out could deadlock behind ourselves), when the
     // pool has no parallelism, or when one chunk covers the range.
     if (current_pool == this || threads() <= 1 || n <= grain) {
         body(begin, end);
-        return;
+        return false;
     }
 
     const size_t chunks = (n + grain - 1) / grain;
@@ -145,9 +145,16 @@ ThreadPool::parallelFor(size_t begin, size_t end, size_t grain,
     for (size_t i = 0; i < helpers; ++i)
         submit(run_chunks);
 
-    run_chunks(); // caller participates
+    // The caller participates as a task of this pool, so a nested
+    // parallelFor from any chunk (not only a worker's) runs inline
+    // instead of re-forking onto workers that are busy with ours.
+    const ThreadPool *prev = current_pool;
+    current_pool = this;
+    run_chunks();
+    current_pool = prev;
     std::unique_lock<std::mutex> g(*done_lock);
     done_cv->wait(g, [&] { return done->load() == chunks; });
+    return true;
 }
 
 ThreadPool &

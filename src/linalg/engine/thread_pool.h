@@ -11,8 +11,9 @@
  *  - the serve WorkerPool's long-running worker loops, which occupy
  *    one pool thread each until the scheduler drains (submit).
  *
- * parallelFor issued from inside a task of the SAME pool runs
- * inline on the calling thread — nested parallelism never deadlocks
+ * parallelFor issued from inside a task of the SAME pool — a
+ * worker's task or a chunk the parallelFor caller runs itself — runs
+ * inline on the calling thread: nested parallelism never deadlocks
  * on pool capacity, it just serializes. Calls from a task of a
  * different pool stay parallel (serving workers on the WorkerPool's
  * pool still fan kernel work out over the engine's shared pool).
@@ -64,9 +65,16 @@ class ThreadPool
      * pure function of the arguments: output is deterministic as
      * long as chunks touch disjoint state.
      *
-     * @param grain Maximum chunk length; 0 picks end-begin/threads.
+     * The caller runs its chunks as a task of this pool, so a
+     * parallelFor nested in any chunk runs inline on the thread
+     * executing that chunk.
+     *
+     * @param grain Maximum chunk length; 0 picks one chunk per
+     *        participating thread, ceil(n / (threads() + 1)).
+     * @return Whether chunks were handed to pool workers (false when
+     *         the whole range ran inline on the caller).
      */
-    void parallelFor(size_t begin, size_t end, size_t grain,
+    bool parallelFor(size_t begin, size_t end, size_t grain,
                      const std::function<void(size_t, size_t)> &body);
 
     /**

@@ -71,13 +71,6 @@ VitModelConfig::maxMlpHidden() const
     });
 }
 
-size_t
-VitModelConfig::maxHeadDim() const
-{
-    return maxOverStages(
-        stages, [](const StageConfig &s) { return s.headDim; });
-}
-
 const StageConfig &
 VitModelConfig::stageForLayer(size_t layer) const
 {

@@ -82,7 +82,6 @@ struct VitModelConfig
     size_t maxEmbedDim() const;  //!< max stage.embedDim
     size_t maxHeadConcat() const; //!< max heads * headDim
     size_t maxMlpHidden() const; //!< max mlpRatio * embedDim
-    size_t maxHeadDim() const;   //!< max stage.headDim
     /** @} */
 };
 

@@ -63,8 +63,15 @@ InferenceServer::~InferenceServer()
 void
 InferenceServer::warmup(const std::vector<PlanKey> &keys)
 {
-    for (const PlanKey &k : keys)
+    for (const PlanKey &k : keys) {
+        // Same guard as submit(): a malformed key would abort the
+        // process inside the plan build.
+        if (!k.valid()) {
+            stats_.recordRejected();
+            continue;
+        }
         cache_.get(k);
+    }
 }
 
 uint64_t

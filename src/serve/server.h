@@ -114,7 +114,11 @@ class InferenceServer
     /** Drains and joins; equivalent to shutdown(). */
     ~InferenceServer();
 
-    /** Pre-build the plans of @p keys so traffic never compiles. */
+    /**
+     * Pre-build the plans of @p keys so traffic never compiles. A
+     * malformed key (!PlanKey::valid()) builds nothing and is
+     * counted as rejected, as in submit().
+     */
     void warmup(const std::vector<PlanKey> &keys);
 
     /**

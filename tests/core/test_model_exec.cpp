@@ -7,8 +7,9 @@
  * classifier — across randomized configs (layers 2/4/12, heads
  * 3/6, sparsity 0.50-0.98, batch 1-4). Logits must agree within a
  * per-element ulp budget, repeated parallel runs must be bitwise
- * identical, and the BufferArena must never grow after its
- * reservation.
+ * identical, each sample of a stacked batch must be bitwise its
+ * single forward at every pool size, and the BufferArena must never
+ * grow past its reservation.
  */
 
 #include <gtest/gtest.h>
@@ -46,6 +47,15 @@ ulpDiff(float a, float b)
         return UINT64_MAX;
     return static_cast<uint64_t>(
         std::abs(static_cast<int64_t>(ia) - static_cast<int64_t>(ib)));
+}
+
+/** Same shape and the same bits (distinguishes -0/+0, NaNs). */
+bool
+bitwiseEqual(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) ==
+               0;
 }
 
 /**
@@ -209,7 +219,6 @@ TEST_P(ModelExecDifferential, MatchesScalarOracle)
 
     ThreadPool pool(4);
     const KernelEngine opt({.tier = KernelTier::Optimized,
-                            .rowPanel = 8,
                             .minParallelMacs = 1},
                            &pool);
     ModelExecutor exec(&plan, std::move(w), ecfg, &opt);
@@ -275,7 +284,6 @@ TEST(ModelExecutor, BitwiseDeterministicAcrossParallelRuns)
 
     ThreadPool pool(4);
     const KernelEngine opt({.tier = KernelTier::Optimized,
-                            .rowPanel = 8,
                             .minParallelMacs = 1},
                            &pool);
 
@@ -354,23 +362,86 @@ TEST(ModelExecutor, MultiStagePyramidMatchesOracle)
 
 TEST(ModelExecutor, ForwardAndBatchAgreeBitwise)
 {
-    const auto m = testModel(2, 3, 48);
+    // The stacked batch runs every row-wise kernel over B*n rows and
+    // the (sample, head) attention units on any pool thread. Each
+    // sample's logits must still be forward()'s bits, and both must
+    // be the serial engine's, at every pool size and batch size, on
+    // a single-stage model and on a two-stage pyramid.
+    model::VitModelConfig pyramid;
+    pyramid.name = "test-pyramid";
+    pyramid.stages = {{2, 48, 3, 8, 24, 2}, {2, 16, 3, 8, 24, 2}};
+    const ExecutorConfig ecfg{.numClasses = 4};
+    for (const model::VitModelConfig &m : {testModel(2, 3, 48), pyramid}) {
+        SCOPED_TRACE(m.name);
+        const auto plan =
+            buildModelPlan(m, makePipelineConfig(0.9, false));
+        Rng rng(31);
+        const ModelWeights w = ModelWeights::random(m, 0, 4, rng);
+        std::vector<Matrix> inputs;
+        for (size_t b = 0; b < 4; ++b)
+            inputs.push_back(
+                Matrix::randomNormal(48, m.stages[0].embedDim, rng));
+
+        const KernelEngine ser({.tier = KernelTier::Optimized});
+        ModelExecutor serial(&plan, ModelWeights(w), ecfg, &ser);
+        std::vector<Matrix> want;
+        for (const Matrix &x : inputs)
+            want.push_back(serial.forward(x));
+
+        for (size_t threads : {1u, 2u, 3u}) {
+            ThreadPool pool(threads);
+            const KernelEngine eng(
+                {.tier = KernelTier::Optimized, .minParallelMacs = 1},
+                &pool);
+            ModelExecutor exec(&plan, ModelWeights(w), ecfg, &eng);
+            for (size_t batch : {1u, 3u, 4u}) {
+                const std::vector<Matrix> in(inputs.begin(),
+                                             inputs.begin() + batch);
+                const auto batched = exec.forwardBatch(in);
+                ASSERT_EQ(batched.size(), batch);
+                for (size_t b = 0; b < batch; ++b) {
+                    EXPECT_TRUE(bitwiseEqual(batched[b], want[b]))
+                        << threads << " threads, batch " << batch
+                        << ", sample " << b;
+                    EXPECT_TRUE(bitwiseEqual(exec.forward(in[b]), want[b]))
+                        << threads << " threads, sample " << b;
+                }
+            }
+            EXPECT_EQ(exec.arena().growths(), 0u);
+        }
+    }
+}
+
+TEST(ModelExecutor, ArenaReservationGrowsOnlyWithTheBatch)
+{
+    // The constructor reserves for batch 1; the first larger batch
+    // grows the reservation once, and nothing after that (smaller or
+    // equal batches, single forwards) allocates or grows.
+    const auto m = testModel(2, 3, 32);
     const auto plan = buildModelPlan(m, makePipelineConfig(0.9, false));
-    Rng rng(31);
-    const ModelWeights w = ModelWeights::random(m, 0, 4, rng);
+    Rng rng(43);
     const KernelEngine opt({.tier = KernelTier::Optimized});
-    ModelExecutor exec(&plan, ModelWeights(w),
+    ModelExecutor exec(&plan, ModelWeights::random(m, 0, 4, rng),
                        ExecutorConfig{.numClasses = 4}, &opt);
-
     std::vector<Matrix> inputs;
-    for (size_t b = 0; b < 2; ++b)
+    for (size_t b = 0; b < 4; ++b)
         inputs.push_back(
-            Matrix::randomNormal(48, m.stages[0].embedDim, rng));
+            Matrix::randomNormal(32, m.stages[0].embedDim, rng));
 
-    const auto batched = exec.forwardBatch(inputs);
-    for (size_t b = 0; b < inputs.size(); ++b)
-        EXPECT_TRUE(exec.forward(inputs[b]) == batched[b])
-            << "sample " << b;
+    const size_t batch1 = exec.arena().footprintBytes();
+    (void)exec.forward(inputs[0]);
+    EXPECT_EQ(exec.arena().footprintBytes(), batch1);
+
+    (void)exec.forwardBatch(inputs);
+    const size_t batch4 = exec.arena().footprintBytes();
+    EXPECT_GT(batch4, batch1);
+    (void)exec.forward(inputs[0]);
+    EXPECT_EQ(exec.arena().footprintBytes(), batch4);
+    (void)exec.forwardBatch({inputs[0], inputs[1]});
+    EXPECT_EQ(exec.arena().footprintBytes(), batch4);
+    (void)exec.forwardBatch(inputs);
+    EXPECT_EQ(exec.arena().footprintBytes(), batch4);
+    EXPECT_EQ(exec.arena().growths(), 0u);
 }
 
 TEST(ModelExecutor, HeadTracesOffLeavesOnlyLayerRecords)

@@ -47,7 +47,6 @@ struct Fixture
           // same ones on every host the suite runs on.
           engine({.tier = linalg::engine::KernelTier::Optimized,
                   .isa = linalg::engine::IsaLevel::Scalar,
-                  .rowPanel = 8,
                   .minParallelMacs = 1},
                  &pool)
     {

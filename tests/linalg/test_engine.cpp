@@ -351,17 +351,20 @@ TEST_P(KernelEngineIsa, GemmBitwiseContractAcrossShapes)
     // Every tile shape, row tail and masked column tail must leave
     // each element's arithmetic untouched: the scalar level is the
     // reference loop, the vector levels one fma per k in ascending
-    // order from +0. Pooled panels (rowPanel 5 splits row tiles
-    // unevenly) must match the serial run bit for bit.
+    // order from +0. Panels cut at multiples of 5 rows (splitting
+    // 4-row tiles unevenly) and pooled runs at 2-4 workers must
+    // match the serial run bit for bit.
     const bool scalar = GetParam() == IsaLevel::Scalar;
+    const auto &kt = table();
     const KernelEngine ser(optCfg());
-    ThreadPool pool(3);
     EngineConfig pcfg = optCfg();
-    pcfg.rowPanel = 5;
     pcfg.minParallelMacs = 1;
-    const KernelEngine par(pcfg, &pool);
+    ThreadPool pool2(2), pool3(3), pool4(4);
+    const KernelEngine par2(pcfg, &pool2), par3(pcfg, &pool3),
+        par4(pcfg, &pool4);
+    const KernelEngine *pooled_engines[] = {&par2, &par3, &par4};
     Rng rng(53);
-    Matrix got, pooled;
+    Matrix got, panels, pooled;
     for (size_t m : {1u, 3u, 4u, 5u, 16u, 197u})
         for (size_t k : {1u, 7u, 64u, 65u, 192u, 768u})
             for (size_t n : {1u, 15u, 16u, 17u, 63u, 64u, 65u, 192u,
@@ -376,11 +379,20 @@ TEST_P(KernelEngineIsa, GemmBitwiseContractAcrossShapes)
                 ser.gemmInto(a, b, got);
                 EXPECT_TRUE(bitwiseEqual(got, want))
                     << m << "x" << k << "x" << n;
-                par.gemmInto(a, b, pooled);
-                EXPECT_TRUE(bitwiseEqual(pooled, got))
-                    << "pooled " << m << "x" << k << "x" << n;
+                panels.reshapeUninit(m, n);
+                for (size_t r0 = 0; r0 < m; r0 += 5)
+                    kt.gemmPanel(a, b, panels, r0, std::min(m, r0 + 5),
+                                 Epilogue::None);
+                EXPECT_TRUE(bitwiseEqual(panels, got))
+                    << "5-row panels " << m << "x" << k << "x" << n;
+                for (const KernelEngine *par : pooled_engines) {
+                    par->gemmInto(a, b, pooled);
+                    EXPECT_TRUE(bitwiseEqual(pooled, got))
+                        << "pooled " << m << "x" << k << "x" << n;
+                }
             }
-    EXPECT_GT(par.stats().parallelLaunches, 0u);
+    for (const KernelEngine *par : pooled_engines)
+        EXPECT_GT(par->stats().parallelLaunches, 0u);
 }
 
 TEST_P(KernelEngineIsa, EmptyInnerDimensionGivesZeros)
@@ -471,7 +483,6 @@ TEST_P(KernelEngineIsa, ParallelRunsAreBitwiseDeterministic)
 {
     ThreadPool pool(4);
     EngineConfig cfg = optCfg();
-    cfg.rowPanel = 8;
     cfg.minParallelMacs = 1;
     const KernelEngine par(cfg, &pool);
     const KernelEngine ser(optCfg());

@@ -3,7 +3,8 @@
  * ThreadPool unit and thread-safety tests: task execution, idle
  * waiting, parallel-for coverage/determinism (every index exactly
  * once, bitwise-identical results over repeated runs), nested
- * parallel-for running inline, and concurrent parallel-for callers
+ * parallel-for running inline (from a worker's task and from the
+ * caller's own chunk), and concurrent parallel-for callers
  * sharing one pool. Built with the TSan job's binaries so data races
  * in the pool surface in CI.
  */
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "linalg/engine/thread_pool.h"
@@ -65,14 +67,19 @@ TEST(ThreadPool, ParallelForEmptyRangeAndZeroGrain)
     int calls = 0;
     pool.parallelFor(5, 5, 4, [&](size_t, size_t) { ++calls; });
     EXPECT_EQ(calls, 0);
-    // grain 0 = auto; range still fully covered.
+    // grain 0 = one chunk per participating thread (2 workers plus
+    // the caller): ceil(33 / 3) = 11, and the range is fully covered.
     std::vector<std::atomic<uint32_t>> hits(33);
     for (auto &h : hits)
         h.store(0);
+    std::atomic<uint32_t> chunks{0};
     pool.parallelFor(0, 33, 0, [&](size_t b, size_t e) {
+        EXPECT_EQ(e - b, 11u);
+        chunks.fetch_add(1);
         for (size_t i = b; i < e; ++i)
             hits[i].fetch_add(1);
     });
+    EXPECT_EQ(chunks.load(), 3u);
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1u);
 }
@@ -116,6 +123,43 @@ TEST(ThreadPool, NestedParallelForRunsInline)
     });
     pool.waitIdle();
     EXPECT_EQ(total.load(), 100u);
+}
+
+TEST(ThreadPool, NestedParallelForFromCallersChunkRunsInline)
+{
+    // Both workers are held busy, so every outer chunk runs on the
+    // caller. A parallelFor nested in one of those chunks must run
+    // inline there, as one body call over its whole range, and
+    // report that it did not fork.
+    ThreadPool pool(2);
+    std::atomic<bool> release{false};
+    for (int i = 0; i < 2; ++i)
+        pool.submit([&release] {
+            while (!release.load())
+                std::this_thread::yield();
+        });
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::pair<size_t, size_t>> nested; // caller-only
+    bool nested_forked = false;
+    const bool outer_forked =
+        pool.parallelFor(0, 4, 1, [&](size_t, size_t) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            nested_forked |=
+                pool.parallelFor(0, 100, 10, [&](size_t b, size_t e) {
+                    EXPECT_EQ(std::this_thread::get_id(), caller);
+                    nested.emplace_back(b, e);
+                });
+        });
+    release.store(true);
+    pool.waitIdle();
+
+    EXPECT_TRUE(outer_forked);
+    EXPECT_FALSE(nested_forked);
+    ASSERT_EQ(nested.size(), 4u);
+    for (const auto &[b, e] : nested) {
+        EXPECT_EQ(b, 0u);
+        EXPECT_EQ(e, 100u);
+    }
 }
 
 TEST(ThreadPool, ConcurrentParallelForCallersShareOnePool)

@@ -467,5 +467,27 @@ TEST(ServingE2E, MalformedKeysAreRejected)
     EXPECT_EQ(counted, 4u);
 }
 
+TEST(ServingE2E, WarmupSkipsMalformedKeys)
+{
+    // warmup() builds plans eagerly, so it must apply submit()'s
+    // guard: a malformed key is counted as rejected and builds
+    // nothing, and the valid keys around it still warm the cache.
+    ServerConfig cfg;
+    cfg.backends = {"ViTCoD"};
+    InferenceServer server(cfg);
+    std::vector<PlanKey> keys(4, tinyKey());
+    keys[1].sparsity = std::nan("");
+    keys[2].sparsity = 1.5;
+    keys[3].model = "NoSuchModel";
+    server.warmup(keys);
+    EXPECT_EQ(server.planCacheStats().misses, 1u) << "one valid key";
+    EXPECT_EQ(server.snapshot().rejected, 3u);
+
+    EXPECT_NE(server.submit(tinyKey()), 0u);
+    server.drain();
+    EXPECT_EQ(server.planCacheStats().misses, 1u) << "warm hit";
+    EXPECT_EQ(server.snapshot().completed, 1u);
+}
+
 } // namespace
 } // namespace vitcod::serve
