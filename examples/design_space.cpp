@@ -139,8 +139,9 @@ main(int argc, char **argv)
             (has_ext ? json.substr(0, dot) : json) + ".csv";
         ex.frontier.writeCsvFile(csv);
         std::cout << "\nfrontier written to " << json << " and "
-                  << csv << " (serve it back with "
-                     "ServerConfig::tunedFrontierPath)\n";
+                  << csv
+                  << " (to serve the best point: ServerConfig::hw = "
+                     "frontier.bestLatency().hw.apply(hw))\n";
     }
     return 0;
 }

@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "accel/functional.h"
 #include "core/pipeline.h"
 #include "core/reference_block.h"
 #include "linalg/kernels.h"
@@ -66,16 +65,5 @@ main()
                 "the error the paper's finetuning step trains "
                 "around.\n");
 
-    // Second check: the optimized kernel engine against the scalar
-    // oracle on a full pipeline-built plan (kernel drift must be at
-    // ulp scale; pruning drift is the table above).
-    const auto plan =
-        core::buildModelPlan(m, core::makePipelineConfig(0.9, true));
-    const auto rep = accel::verifyPlanFunctional(
-        plan, linalg::engine::KernelEngine::shared());
-    std::printf("\nKernel engine vs scalar oracle over %zu heads at "
-                "90%% sparsity: max |drift| %.3g (%s)\n",
-                rep.headsChecked, rep.maxKernelDrift,
-                rep.kernelsMatch(1e-4) ? "MATCH" : "MISMATCH");
-    return rep.kernelsMatch(1e-4) ? 0 : 1;
+    return 0;
 }

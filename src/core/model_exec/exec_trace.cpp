@@ -32,8 +32,8 @@ ExecTrace::write(std::ostream &os) const
            << " heads " << l.heads << " head_dim " << l.headDim
            << " embed_dim " << l.embedDim << " macs " << l.macs
            << '\n';
-        // Explicit count: heads above is the layer shape, while the
-        // records below may be absent (collectHeadTraces = false).
+        // Explicit count: heads above is the layer shape; only a
+        // default-constructed trace has no records below.
         os << "head_traces " << l.headTraces.size() << '\n';
         for (const HeadTrace &h : l.headTraces)
             os << "head " << h.head << " nnz " << h.maskNnz

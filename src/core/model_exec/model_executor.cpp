@@ -220,14 +220,12 @@ ModelExecutor::runLayer(size_t layer, size_t batch, LayerTrace *lt)
         PhaseTimer phase("attn", lt ? &lt->attnSeconds : nullptr,
                          "layer", double(layer), "heads",
                          double(s.heads));
-        const bool head_traces = lt && cfg_.collectHeadTraces;
         const size_t units = batch * s.heads;
         // Each unit times itself into its own slot; the sums run
         // after the join, in a fixed order.
-        if (head_traces)
+        if (lt)
             unitSeconds_.assign(units, 0.0);
-        double *const unit_seconds =
-            head_traces ? unitSeconds_.data() : nullptr;
+        double *const unit_seconds = lt ? unitSeconds_.data() : nullptr;
         engine_->parallelFor(
             units, schedule_->layers[layer].execMacs.attn * batch,
             [&](size_t u0, size_t u1) {
@@ -236,7 +234,7 @@ ModelExecutor::runLayer(size_t layer, size_t batch, LayerTrace *lt)
                                unit_seconds ? &unit_seconds[u]
                                             : nullptr);
             });
-        if (head_traces)
+        if (lt)
             for (size_t head = 0; head < s.heads; ++head) {
                 HeadTrace &ht = lt->headTraces[head];
                 ht.head = head;
@@ -458,8 +456,7 @@ ModelExecutor::initTrace(ExecTrace *trace, size_t batch) const
         lt.heads = s.heads;
         lt.headDim = s.headDim;
         lt.embedDim = s.embedDim;
-        if (cfg_.collectHeadTraces)
-            lt.headTraces.resize(s.heads);
+        lt.headTraces.resize(s.heads);
     }
 }
 

@@ -66,9 +66,6 @@ struct ExecutorConfig
     /** Patch-feature width entering the embedding; 0 = stage 0's
      *  embedDim. */
     size_t inDim = 0;
-
-    /** Record per-head traces (tiny cost; off for pure latency). */
-    bool collectHeadTraces = true;
 };
 
 /** Whole-model forward executor over a built ModelPlan. */
@@ -109,7 +106,8 @@ class ModelExecutor
     /**
      * One forward pass: @p patches is (stage0.tokens x inDim),
      * result is (1 x numClasses) logits. When @p trace is non-null
-     * it is overwritten with this call's record.
+     * it is overwritten with this call's record, per-layer and
+     * per-head; without one no head is timed.
      */
     linalg::Matrix forward(const linalg::Matrix &patches,
                            ExecTrace *trace = nullptr);

@@ -3,10 +3,11 @@
  * Result currency of the design-space explorer: objective vectors
  * (simulated latency / energy proxy / area proxy, all minimized),
  * evaluated design points, and the Pareto frontier they form. The
- * frontier serializes to JSON (round-trippable — the serving
- * runtime's tuned-config hook and the golden-fixture tests both read
- * it back) and to CSV for spreadsheet/plot consumption; the format
- * is documented in docs/DSE.md.
+ * frontier is written to JSON (17-significant-digit doubles, bytes
+ * pinned by the golden-fixture test) and to CSV for spreadsheet/plot
+ * consumption; the format is documented in docs/DSE.md. Nothing
+ * reads these files back: a search result reaches a server in memory,
+ * as a config (see HwPoint::apply()).
  */
 
 #ifndef VITCOD_DSE_PARETO_H
@@ -60,8 +61,8 @@ bool dominates(const Objectives &a, const Objectives &b);
 
 /**
  * The swept knob values of one design point — exactly the fields a
- * HwConfigSpace varies, so a point round-trips through a result
- * file without carrying the whole base configuration.
+ * HwConfigSpace varies, so a point is kept and written without
+ * carrying the whole base configuration.
  */
 struct HwPoint
 {
@@ -80,7 +81,11 @@ struct HwPoint
     /** The swept knobs of @p cfg as a point. */
     static HwPoint of(const accel::ViTCoDConfig &cfg);
 
-    /** Materialize onto @p base (inverse of of() modulo base). */
+    /**
+     * Materialize onto @p base (inverse of of() modulo base). This is
+     * how a search result reaches serving:
+     * `cfg.hw = r.frontier.bestLatency().hw.apply(cfg.hw)`.
+     */
     accel::ViTCoDConfig apply(accel::ViTCoDConfig base = {}) const;
 };
 
@@ -131,12 +136,10 @@ class ParetoFrontier
     /** Everything-compared equality (metadata + points). */
     bool operator==(const ParetoFrontier &) const = default;
 
-    /** @name JSON serialization (round-trips exactly)
+    /** @name JSON export (write-only, exact 17-digit doubles)
      *  @{ */
     void writeJson(std::ostream &os) const;
     void writeJsonFile(const std::string &path) const;
-    static ParetoFrontier readJson(std::istream &is);
-    static ParetoFrontier readJsonFile(const std::string &path);
     /** @} */
 
     /** @name CSV export (write-only, one row per point)

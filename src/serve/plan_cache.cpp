@@ -4,23 +4,9 @@
 #include <sstream>
 #include <utility>
 
-#include "common/logging.h"
-#include "dse/pareto.h"
 #include "model/vit_config.h"
 
 namespace vitcod::serve {
-
-accel::ViTCoDConfig
-tunedHwConfig(const std::string &frontier_path,
-              const accel::ViTCoDConfig &base)
-{
-    const dse::ParetoFrontier f =
-        dse::ParetoFrontier::readJsonFile(frontier_path);
-    if (f.points().empty())
-        fatal("tuned-config frontier '", frontier_path,
-              "' has no points");
-    return f.bestLatency().hw.apply(base);
-}
 
 std::string
 PlanKey::str() const

@@ -67,19 +67,6 @@ struct CompiledPlan
 Bytes modelWeightBytes(const model::VitModelConfig &m,
                        size_t elem_bytes);
 
-/**
- * Tuned-config hook: load a design-space-exploration result file
- * (a dse::ParetoFrontier JSON, see docs/DSE.md) and return its
- * best-latency point applied onto @p base. Pass the result as the
- * PlanCache / ServerConfig hardware config to compile and price
- * plans against the tuned accelerator instead of the default;
- * fatal() when the file is missing, malformed or has an empty
- * frontier.
- */
-accel::ViTCoDConfig
-tunedHwConfig(const std::string &frontier_path,
-              const accel::ViTCoDConfig &base = {});
-
 /** Thread-safe LRU cache of CompiledPlans. */
 class PlanCache
 {

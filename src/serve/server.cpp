@@ -16,21 +16,12 @@ withClock(SchedulerConfig sc, std::function<double()> clock)
     return sc;
 }
 
-/** Resolve the tuned-config hook before anything consumes cfg.hw. */
-ServerConfig
-withTunedHw(ServerConfig cfg)
-{
-    if (!cfg.tunedFrontierPath.empty())
-        cfg.hw = tunedHwConfig(cfg.tunedFrontierPath, cfg.hw);
-    return cfg;
-}
-
 } // namespace
 
 InferenceServer::InferenceServer(
     ServerConfig cfg,
     std::function<void(const InferenceResponse &)> on_response)
-    : cfg_(withTunedHw(std::move(cfg))),
+    : cfg_(std::move(cfg)),
       epoch_(std::chrono::steady_clock::now()),
       cache_(cfg_.hw, cfg_.planCacheCapacity),
       scheduler_(withClock(cfg_.scheduler,

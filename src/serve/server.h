@@ -75,17 +75,12 @@ struct ServerConfig
     /** Plan cache capacity; 0 = unbounded. */
     size_t planCacheCapacity = 0;
 
-    /** Hardware config plans are priced for (ViTCoD workers). */
-    accel::ViTCoDConfig hw;
-
     /**
-     * Optional DSE result file (dse::ParetoFrontier JSON). When
-     * non-empty, the frontier's best-latency point is applied onto
-     * hw before the cache and workers are built, so plans compile
-     * and price against the tuned accelerator (see tunedHwConfig()
-     * and docs/DSE.md).
+     * Hardware config plans are compiled and priced for (plan cache
+     * and ViTCoD workers). A design-space search result serves as
+     * `hw = r.frontier.bestLatency().hw.apply(hw)` (docs/DSE.md).
      */
-    std::string tunedFrontierPath;
+    accel::ViTCoDConfig hw;
 
     /**
      * When non-empty, the server starts the process-wide

@@ -5,11 +5,11 @@
  * oracle — patch-embed GEMM, ReferenceBlock::forwardSparse per
  * layer on a Reference-pinned engine, scalar pooling/LayerNorm/
  * classifier — across randomized configs (layers 2/4/12, heads
- * 3/6, sparsity 0.50-0.98, batch 1-4). Logits must agree within a
- * per-element ulp budget, repeated parallel runs must be bitwise
- * identical, each sample of a stacked batch must be bitwise its
- * single forward at every pool size, and the BufferArena must never
- * grow past its reservation.
+ * 3/6, head dim 8/64, sparsity 0.50-0.98, batch 1-4). Logits must
+ * agree within a per-element ulp budget, repeated parallel runs must
+ * be bitwise identical, each sample of a stacked batch must be
+ * bitwise its single forward at every pool size, and the BufferArena
+ * must never grow past its reservation.
  */
 
 #include <gtest/gtest.h>
@@ -198,6 +198,7 @@ struct DiffCase
     size_t tokens;
     double sparsity;
     size_t batch;
+    size_t headDim = 8;
 };
 
 class ModelExecDifferential
@@ -207,7 +208,7 @@ class ModelExecDifferential
 TEST_P(ModelExecDifferential, MatchesScalarOracle)
 {
     const DiffCase c = GetParam();
-    const auto m = testModel(c.layers, c.heads, c.tokens);
+    const auto m = testModel(c.layers, c.heads, c.tokens, c.headDim);
     const auto plan =
         buildModelPlan(m, makePipelineConfig(c.sparsity, false));
 
@@ -262,14 +263,19 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(DiffCase{2, 3, 48, 0.50, 1},
                       DiffCase{2, 6, 48, 0.80, 3},
                       DiffCase{4, 6, 64, 0.90, 2},
-                      DiffCase{12, 3, 40, 0.98, 4}),
+                      DiffCase{12, 3, 40, 0.98, 4},
+                      // DeiT-shaped heads: the engine's d = 64 paths
+                      // on pipeline-built, reordered 197-token masks.
+                      DiffCase{2, 3, 197, 0.90, 1, 64}),
     [](const auto &info) {
         const DiffCase &c = info.param;
         return "l" + std::to_string(c.layers) + "_h" +
                std::to_string(c.heads) + "_s" +
                std::to_string(
                    static_cast<int>(c.sparsity * 100)) +
-               "_b" + std::to_string(c.batch);
+               "_b" + std::to_string(c.batch) +
+               (c.headDim == 8 ? ""
+                               : "_d" + std::to_string(c.headDim));
     });
 
 TEST(ModelExecutor, BitwiseDeterministicAcrossParallelRuns)
@@ -442,27 +448,6 @@ TEST(ModelExecutor, ArenaReservationGrowsOnlyWithTheBatch)
     (void)exec.forwardBatch(inputs);
     EXPECT_EQ(exec.arena().footprintBytes(), batch4);
     EXPECT_EQ(exec.arena().growths(), 0u);
-}
-
-TEST(ModelExecutor, HeadTracesOffLeavesOnlyLayerRecords)
-{
-    const auto m = testModel(2, 3, 32);
-    const auto plan = buildModelPlan(m, makePipelineConfig(0.9, false));
-    Rng rng(5);
-    const KernelEngine opt({.tier = KernelTier::Optimized});
-    ModelExecutor exec(
-        &plan, ModelWeights::random(m, 0, 4, rng),
-        ExecutorConfig{.numClasses = 4, .collectHeadTraces = false},
-        &opt);
-    ExecTrace trace;
-    (void)exec.forward(
-        Matrix::randomNormal(32, m.stages[0].embedDim, rng), &trace);
-    ASSERT_EQ(trace.layers.size(), m.totalLayers());
-    for (const LayerTrace &lt : trace.layers) {
-        EXPECT_EQ(lt.heads, 3u);
-        EXPECT_TRUE(lt.headTraces.empty());
-        EXPECT_GT(lt.macs, 0u);
-    }
 }
 
 // Death tests fork; give them a pool-free local engine so no

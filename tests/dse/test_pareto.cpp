@@ -1,15 +1,16 @@
 /**
  * @file
  * Pareto-frontier tests: dominance semantics, the non-dominated-set
- * invariant under any insertion order, deterministic sorting, exact
- * JSON round-trips (metadata, workloads, 17-digit doubles), CSV
- * shape, and parser rejection of malformed documents (bad numbers,
- * bad escapes, runaway nesting).
+ * invariant under any insertion order, deterministic sorting, the
+ * exact bytes of the JSON writer (metadata, workloads, 17-digit
+ * doubles, empty lists) and CSV shape.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -29,33 +30,12 @@ point(size_t index, double lat, double energy, double area)
     return p;
 }
 
-/** A valid one-frontier-point result file. */
-ParetoFrontier
-onePoint()
-{
-    ParetoFrontier f;
-    f.workloads = {{"DeiT-Tiny", 0.9, true, false, 1.0}};
-    f.insert(point(1, 1.0, 1.0, 1.0));
-    return f;
-}
-
 std::string
 json(const ParetoFrontier &f)
 {
     std::stringstream ss;
     f.writeJson(ss);
     return ss.str();
-}
-
-/** @p doc with @p from replaced by @p to. */
-std::string
-tampered(const std::string &from, const std::string &to,
-         std::string doc = json(onePoint()))
-{
-    const size_t at = doc.find(from);
-    EXPECT_NE(at, std::string::npos) << from;
-    return at == std::string::npos ? doc
-                                   : doc.replace(at, from.size(), to);
 }
 
 TEST(Dominance, StrictOnAtLeastOneObjective)
@@ -125,7 +105,7 @@ TEST(ParetoFrontier, DuplicatePointIsRejected)
     EXPECT_EQ(f.points().size(), 1u);
 }
 
-TEST(ParetoJson, RoundTripsExactly)
+TEST(ParetoJson, WritesExactBytes)
 {
     ParetoFrontier f;
     f.evaluated = 17;
@@ -138,74 +118,63 @@ TEST(ParetoJson, RoundTripsExactly)
     f.insert(a);
     f.insert(b);
 
-    std::stringstream ss;
-    f.writeJson(ss);
-    const ParetoFrontier back = ParetoFrontier::readJson(ss);
-    EXPECT_EQ(back, f);
+    // Doubles at 17 significant digits, points in frontier order.
+    const std::string want =
+        "{\n"
+        "  \"format\": \"vitcod-dse-frontier\",\n"
+        "  \"version\": 1,\n"
+        "  \"algorithm\": \"exhaustive\",\n"
+        "  \"seed\": 0,\n"
+        "  \"evaluated\": 17,\n"
+        "  \"workloads\": [\n"
+        "    {\"model\": \"DeiT-Tiny\", "
+        "\"sparsity\": 0.90000000000000002, \"use_ae\": true, "
+        "\"end_to_end\": false, \"weight\": 1},\n"
+        "    {\"model\": \"LeViT-128\", "
+        "\"sparsity\": 0.80000000000000004, \"use_ae\": false, "
+        "\"end_to_end\": true, \"weight\": 0.33333333333333331}\n"
+        "  ],\n"
+        "  \"points\": [\n"
+        "    {\"index\": 11, \"mac_lines\": 43, \"macs_per_line\": 8, "
+        "\"ae_lines\": 16, \"sparser_frac\": 0, "
+        "\"qkv_buf_bytes\": 131072, \"s_buf_bytes\": 98304, "
+        "\"bandwidth_gbps\": 76.799999999999997, "
+        "\"pipe_fifo_depth\": 64, \"pipe_stage_latency\": 0, "
+        "\"latency_s\": 0.10000000000000001, "
+        "\"energy_j\": 9.9999999999999995e-08, "
+        "\"area_mm2\": 999.99999999999989},\n"
+        "    {\"index\": 3, \"mac_lines\": 35, \"macs_per_line\": 8, "
+        "\"ae_lines\": 16, \"sparser_frac\": 0.29999999999999999, "
+        "\"qkv_buf_bytes\": 131072, \"s_buf_bytes\": 98304, "
+        "\"bandwidth_gbps\": 76.799999999999997, "
+        "\"pipe_fifo_depth\": 64, \"pipe_stage_latency\": 0, "
+        "\"latency_s\": 0.33333333333333331, "
+        "\"energy_j\": 2.6250000000000001e-05, "
+        "\"area_mm2\": 2.8767200000000002}\n"
+        "  ]\n"
+        "}\n";
+    EXPECT_EQ(json(f), want);
 
     // File form too (PID-unique path per TESTING.md).
     const std::string path = test::uniqueTempPath("frontier.json");
     f.writeJsonFile(path);
-    EXPECT_EQ(ParetoFrontier::readJsonFile(path), f);
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), want);
     std::remove(path.c_str());
 }
 
-TEST(ParetoJson, EmptyFrontierRoundTrips)
+TEST(ParetoJson, EmptyFrontierWritesEmptyLists)
 {
-    ParetoFrontier f;
-    std::stringstream ss;
-    f.writeJson(ss);
-    const ParetoFrontier back = ParetoFrontier::readJson(ss);
-    EXPECT_EQ(back, f);
-    EXPECT_TRUE(back.points().empty());
-}
-
-TEST(ParetoJson, IgnoresProvenanceKeys)
-{
-    // Version-1 files from other writers carry a different algorithm
-    // name and seed; both are provenance only.
-    std::stringstream ss(tampered(
-        "\"seed\": 0", "\"seed\": 42",
-        tampered("\"algorithm\": \"exhaustive\"",
-                 "\"algorithm\": \"coordinate\"")));
-    EXPECT_EQ(ParetoFrontier::readJson(ss), onePoint());
-}
-
-TEST(ParetoJson, RejectsGarbage)
-{
-    std::stringstream not_json("pareto? no.");
-    EXPECT_DEATH((void)ParetoFrontier::readJson(not_json),
-                 "parse error");
-
-    std::stringstream wrong_tag(
-        "{\"format\": \"something-else\", \"version\": 1}");
-    EXPECT_DEATH((void)ParetoFrontier::readJson(wrong_tag),
-                 "format");
-
-    // Numbers must be one number from end to end; unsigned fields
-    // take neither a sign nor an overflowing value.
-    const auto rejects = [](const std::string &doc,
-                            const std::string &why) {
-        std::stringstream ss(doc);
-        EXPECT_DEATH((void)ParetoFrontier::readJson(ss), why)
-            << doc.substr(0, 200);
-    };
-    rejects(tampered("\"mac_lines\": 33", "\"mac_lines\": -1"),
-            "bad number");
-    rejects(tampered("\"mac_lines\": 33", "\"mac_lines\": 12-3"),
-            "bad number");
-    rejects(tampered("\"mac_lines\": 33",
-                     "\"mac_lines\": 18446744073709551616"),
-            "bad number");
-    rejects(tampered("\"latency_s\": 1", "\"latency_s\": --"),
-            "bad number");
-
-    // A \u escape needs four hex digits.
-    rejects(tampered("\"DeiT-Tiny\"", "\"DeiT\\u00zz\""), "bad .u");
-    rejects(tampered("\"DeiT-Tiny\"", "\"DeiT\\u-001\""), "bad .u");
-
-    // Deep nesting fails cleanly instead of exhausting the stack.
-    rejects(std::string(1000000, '['), "nesting too deep");
+    EXPECT_EQ(json(ParetoFrontier{}),
+              "{\n"
+              "  \"format\": \"vitcod-dse-frontier\",\n"
+              "  \"version\": 1,\n"
+              "  \"algorithm\": \"exhaustive\",\n"
+              "  \"seed\": 0,\n"
+              "  \"evaluated\": 0,\n"
+              "  \"workloads\": [],\n"
+              "  \"points\": []\n"
+              "}\n");
 }
 
 TEST(ParetoCsv, OneHeaderOneRowPerPoint)

@@ -6,14 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "accel/compiler.h"
 #include "dse/pareto.h"
 #include "serve/plan_cache.h"
-#include "support/temp_path.h"
 
 namespace vitcod::serve {
 namespace {
@@ -146,10 +144,10 @@ TEST(PlanCache, WeightBytesGrowWithModelSize)
     EXPECT_GT(small, tiny);
 }
 
-TEST(PlanCache, TunedConfigHookPricesPlansOnTunedHardware)
+TEST(PlanCache, PricesPlansOnAFrontierPointsHardware)
 {
-    // Write a one-point DSE frontier and let the hook apply its
-    // best-latency point onto the default hardware config.
+    // A one-point DSE frontier; its best-latency point applied onto
+    // the default hardware config is how a search result is served.
     dse::ParetoFrontier f;
     f.evaluated = 1;
     dse::DsePoint p;
@@ -158,11 +156,8 @@ TEST(PlanCache, TunedConfigHookPricesPlansOnTunedHardware)
     p.hw.bandwidthGBps = 153.6;
     p.obj = {1e-4, 1e-5, 2.5};
     ASSERT_TRUE(f.insert(p));
-    const std::string path =
-        test::uniqueTempPath("tuned_frontier.json");
-    f.writeJsonFile(path);
 
-    const accel::ViTCoDConfig hw = tunedHwConfig(path);
+    const accel::ViTCoDConfig hw = f.bestLatency().hw.apply();
     EXPECT_EQ(hw.macArray.macLines, 128u);
     EXPECT_EQ(hw.sBufferBytes, 32u * 1024u);
     EXPECT_DOUBLE_EQ(hw.dram.bandwidthGBps, 153.6);
@@ -178,8 +173,6 @@ TEST(PlanCache, TunedConfigHookPricesPlansOnTunedHardware)
     EXPECT_EQ(cp_tuned->schedule.params.macLines, 128u);
     EXPECT_LT(cp_tuned->simEstimate.seconds,
               cp_stock->simEstimate.seconds);
-
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <set>
@@ -21,7 +20,6 @@
 #include "serve/load_gen.h"
 #include "serve/plan_cache.h"
 #include "serve/server.h"
-#include "support/temp_path.h"
 
 namespace vitcod::serve {
 namespace {
@@ -202,43 +200,50 @@ TEST(ServingE2E, HeterogeneousPoolServesMixedBurst)
     EXPECT_GT(cacheStats.hitRate(), 0.95);
 }
 
-TEST(ServingE2E, TunedFrontierPathRetunesTheServerHardware)
+TEST(ServingE2E, ServesOnAFrontierPointsHardware)
 {
-    // A DSE result file handed to the server via the tuned-config
-    // hook must reach the plan cache: plans compile against the
-    // frontier's best-latency hardware, not the default.
+    // A DSE result reaches a server as its hardware config: the
+    // frontier's best-latency point applied onto cfg.hw. It must
+    // reach both the plan cache and the ViTCoD workers.
     dse::ParetoFrontier f;
     dse::DsePoint p;
     p.hw.macLines = 128;
     p.hw.bandwidthGBps = 153.6;
     p.obj = {1e-4, 1e-5, 3.0};
     ASSERT_TRUE(f.insert(p));
-    const std::string path =
-        test::uniqueTempPath("server_tuned.json");
-    f.writeJsonFile(path);
 
-    ServerConfig cfg;
-    cfg.backends = {"ViTCoD"};
-    cfg.tunedFrontierPath = path;
-    InferenceServer server(cfg);
-    EXPECT_EQ(server.config().hw.macArray.macLines, 128u);
+    ServerConfig stock_cfg;
+    stock_cfg.backends = {"ViTCoD"};
+    ServerConfig cfg = stock_cfg;
+    cfg.hw = f.bestLatency().hw.apply(cfg.hw);
 
     PlanKey key;
     key.model = "DeiT-Tiny";
-    server.warmup({key});
-    server.submit(key);
-    server.drain();
-    const auto snap = server.snapshot();
-    EXPECT_EQ(snap.completed, 1u);
-    server.shutdown();
+    const auto serveOne = [&key](const ServerConfig &c) {
+        InferenceServer server(c);
+        EXPECT_EQ(server.config().hw.macArray.macLines,
+                  c.hw.macArray.macLines);
+        server.warmup({key});
+        server.submit(key);
+        server.drain();
+        const auto snap = server.snapshot();
+        EXPECT_EQ(snap.completed, 1u);
+        server.shutdown();
+        return snap;
+    };
+    const auto tuned_snap = serveOne(cfg);
+    const auto stock_snap = serveOne(stock_cfg);
+    EXPECT_EQ(cfg.hw.macArray.macLines, 128u);
+    EXPECT_DOUBLE_EQ(cfg.hw.dram.bandwidthGBps, 153.6);
 
-    // The same task on a default server is simulated slower than on
-    // the tuned hardware the frontier selected.
-    PlanCache tuned(tunedHwConfig(path));
+    // The same task is simulated slower on default hardware than on
+    // the hardware the frontier selected: in the cache's estimate
+    // and in what the workers charged per request.
+    PlanCache tuned(cfg.hw);
     PlanCache stock;
     EXPECT_LT(tuned.get(key)->simEstimate.seconds,
               stock.get(key)->simEstimate.seconds);
-    std::remove(path.c_str());
+    EXPECT_LT(tuned_snap.simP50, stock_snap.simP50);
 }
 
 TEST(ServingE2E, ShutdownDrainsPendingWork)
